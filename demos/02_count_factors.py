@@ -5,11 +5,7 @@ the classics (IC_p1, edge distribution, eigenvalue ratio) are run on the
 same eigendecomposition for contrast. The eigenvalue-ratio rule tends to
 collapse when the factors have very different strengths.
 """
-import warnings
-
 from sparsefactors import SimConfig, select_r, simulate_panel
-
-warnings.filterwarnings("ignore", message="pc_fit called on a non-standardized panel")
 
 for n in (100, 200, 400):
     cfg = SimConfig(N=n, T=n, r=3, alpha=(0.9, 0.75, 0.6), seed=7)

@@ -42,7 +42,7 @@ from .panel import (
     ingest_csv,
     standardize,
 )
-from .pca import PcFit, SymEig, eig_sym_desc, export_pc_fit, gram, pc_fit, sigma_hat
+from .pca import PcFit, SymEig, eig_sym_desc, export_pc_fit, gram, pc_fit, residual_variances
 from .rolling import (
     HeatmapExport,
     RollingResult,
@@ -102,6 +102,7 @@ __all__ = [
     "ingest_csv",
     "pc_fit",
     "pooled_fdr_power",
+    "residual_variances",
     "rmse_c",
     "rolling_analysis",
     "rolling_to_csv",
@@ -113,7 +114,6 @@ __all__ = [
     "select_r_ed",
     "select_r_icp1",
     "select_r_svt",
-    "sigma_hat",
     "simulate_panel",
     "standardize",
     "strengths",

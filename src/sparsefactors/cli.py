@@ -24,11 +24,11 @@ import numpy as np
 
 from . import __version__
 from .errors import SparseFactorsError
-from .factor_count import DEFAULT_RMAX, diagnostics_json, select_r
+from .factor_count import DEFAULT_RMAX, diagnostics_json, select_r, select_r_svt
 from .panel import align_and_trim, ingest_csv, standardize
 from .pca import eig_sym_desc, export_pc_fit, gram, pc_fit
 from .rolling import heatmap_to_csv, rolling_analysis, rolling_to_csv, subperiod_heatmap
-from .screening import screen, sparse_summary, strengths, threshold_value
+from .screening import screen, sparse_summary, threshold_value
 from .simulate import ALL_TASKS, SimConfig, run_replications
 
 
@@ -75,13 +75,18 @@ def _load_config_file(path) -> dict:
         raise UserError(f"config file is not valid JSON: {exc}") from None
 
 
-def _resolve(args: argparse.Namespace, keys) -> dict:
-    """Merge config-file values with flags; flags win when explicitly given."""
+def _resolve(args: argparse.Namespace, keys, defaults) -> dict:
+    """Merge config-file values with flags; flags win when explicitly given.
+
+    ``defaults`` fills only keys given nowhere: an explicit 0 is kept.
+    """
     file_cfg = _load_config_file(getattr(args, "config", None))
     resolved = {}
     for key in keys:
-        flag_val = getattr(args, key, None)
-        resolved[key] = flag_val if flag_val is not None else file_cfg.get(key)
+        value = getattr(args, key, None)
+        if value is None:
+            value = file_cfg.get(key)
+        resolved[key] = defaults.get(key) if value is None else value
     return resolved
 
 
@@ -128,7 +133,9 @@ def _cmd_simulate(args) -> None:
     t0 = time.monotonic()
     keys = ("N", "T", "r", "alpha", "seed", "burn_in", "support_mode",
             "contiguous_ranges", "standardize", "reps", "rmax", "c", "tasks", "workers")
-    resolved = _resolve(args, keys)
+    defaults = {"burn_in": 100, "support_mode": "random", "standardize": False, "reps": 100,
+                "rmax": DEFAULT_RMAX, "c": 1.0, "workers": 1}
+    resolved = _resolve(args, keys, defaults)
     for req in ("N", "T", "r", "alpha"):
         if resolved[req] is None:
             raise UserError(f"simulate requires {req} (flag or config file)")
@@ -136,10 +143,10 @@ def _cmd_simulate(args) -> None:
         resolved["alpha"] = [float(a) for a in resolved["alpha"].split(",")]
     seed = int(resolved["seed"]) if resolved["seed"] is not None else _seed_of(args)
     resolved["seed"] = seed
-    reps = int(resolved["reps"] or 100)
-    rmax = int(resolved["rmax"] or DEFAULT_RMAX)
-    c_mult = float(resolved["c"] or 1.0)
-    workers = int(resolved["workers"] or 1)
+    reps = int(resolved["reps"])
+    rmax = int(resolved["rmax"])
+    c_mult = float(resolved["c"])
+    workers = int(resolved["workers"])
     tasks = resolved["tasks"]
     if tasks is None:
         tasks = sorted(ALL_TASKS)
@@ -152,12 +159,12 @@ def _cmd_simulate(args) -> None:
             r=int(resolved["r"]),
             alpha=tuple(resolved["alpha"]),
             seed=seed,
-            burn_in=int(resolved["burn_in"] or 100),
-            support_mode=resolved["support_mode"] or "random",
+            burn_in=int(resolved["burn_in"]),
+            support_mode=resolved["support_mode"],
             contiguous_ranges=tuple(tuple(rg) for rg in resolved["contiguous_ranges"])
             if resolved["contiguous_ranges"]
             else None,
-            standardize=bool(resolved["standardize"] or False),
+            standardize=bool(resolved["standardize"]),
         )
         report = run_replications(
             config, reps, tasks=tasks, rmax=rmax, c_multiplier=c_mult, workers=workers
@@ -208,20 +215,18 @@ def _report_tables(report, config) -> dict:
 def _cmd_estimate(args) -> None:
     t0 = time.monotonic()
     panel = _load_panel(args)
-    rmax = int(args.rmax or DEFAULT_RMAX)
-    c_mult = float(args.c or 1.0)
     eig = eig_sym_desc(gram(panel))
-    if args.r is not None:
-        r = int(args.r)
-    else:
-        r = select_r(panel, ["wz"], rmax=rmax)["wz"].r_hat
-        if r == 0:
-            raise UserError("SVT rule detected no factors; pass --r to force a fit")
     try:
+        if args.r is None:
+            r = select_r_svt(panel, rmax=args.rmax, eig=eig).r_hat
+            if r == 0:
+                raise UserError("SVT rule detected no factors; pass --r to force a fit")
+        else:
+            r = args.r
         fit = pc_fit(panel, r, eig=eig)
+        sp = screen(fit, threshold_value(panel.n_series, panel.n_periods, args.c))
     except ValueError as exc:
         raise UserError(str(exc)) from None
-    sp = screen(fit, threshold_value(panel.n_series, panel.n_periods, c_mult))
     tables = export_pc_fit(fit, panel)
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
@@ -233,20 +238,19 @@ def _cmd_estimate(args) -> None:
         "loadings.csv": tables["loadings"],
         "eigenvalues.csv": tables["eigenvalues"],
         "screened_loadings.csv": buf.getvalue(),
-        "strengths.json": json.dumps(sparse_summary(sp, panel.n_series), indent=2) + "\n",
+        "strengths.json": json.dumps(sparse_summary(sp, panel.n_series, args.c), indent=2) + "\n",
     }
     resolved = {"data": args.data, "orientation": args.orientation, "r": r,
-                "rmax": rmax, "c": c_mult, "tcodes": args.tcodes}
+                "rmax": args.rmax, "c": args.c, "tcodes": args.tcodes}
     _write_outputs(Path(args.out), files, _manifest("estimate", resolved, None, t0))
 
 
 def _cmd_select_r(args) -> None:
     t0 = time.monotonic()
     panel = _load_panel(args)
-    rmax = int(args.rmax or DEFAULT_RMAX)
-    methods = (args.methods or "wz,bn,ed,ah").split(",")
+    methods = args.methods.split(",")
     try:
-        results = select_r(panel, methods, rmax=rmax)
+        results = select_r(panel, methods, rmax=args.rmax)
     except ValueError as exc:
         raise UserError(str(exc)) from None
     buf = io.StringIO()
@@ -258,53 +262,49 @@ def _cmd_select_r(args) -> None:
         "diagnostics.json": json.dumps(diagnostics_json(results), indent=2, sort_keys=True) + "\n",
     }
     resolved = {"data": args.data, "orientation": args.orientation,
-                "rmax": rmax, "methods": methods, "tcodes": args.tcodes}
+                "rmax": args.rmax, "methods": methods, "tcodes": args.tcodes}
     _write_outputs(Path(args.out), files, _manifest("select-r", resolved, None, t0))
 
 
 def _cmd_strengths(args) -> None:
     t0 = time.monotonic()
     panel = _load_panel(args)
-    rmax = int(args.rmax or DEFAULT_RMAX)
-    c_mult = float(args.c or 1.0)
-    if args.r is not None:
-        r = int(args.r)
-    else:
-        r = select_r(panel, ["wz"], rmax=rmax)["wz"].r_hat
-    if r == 0:
-        summary = {"threshold": None, "counts": [], "alpha_hat": [], "labels": [],
-                   "note": "degenerate: no factors detected"}
-    else:
-        fit = pc_fit(panel, r)
-        sp = screen(fit, threshold_value(panel.n_series, panel.n_periods, c_mult))
-        summary = sparse_summary(sp, panel.n_series)
+    eig = eig_sym_desc(gram(panel))
+    try:
+        r = select_r_svt(panel, rmax=args.rmax, eig=eig).r_hat if args.r is None else args.r
+        thr = threshold_value(panel.n_series, panel.n_periods, args.c)
+        if r == 0:
+            summary = {"threshold": None, "counts": [], "alpha_hat": [], "labels": [],
+                       "note": "degenerate: no factors detected"}
+        else:
+            sp = screen(pc_fit(panel, r, eig=eig), thr)
+            summary = sparse_summary(sp, panel.n_series, args.c)
+    except ValueError as exc:
+        raise UserError(str(exc)) from None
     files = {"strengths.json": json.dumps(summary, indent=2) + "\n"}
     resolved = {"data": args.data, "orientation": args.orientation, "r": r,
-                "rmax": rmax, "c": c_mult, "tcodes": args.tcodes}
+                "rmax": args.rmax, "c": args.c, "tcodes": args.tcodes}
     _write_outputs(Path(args.out), files, _manifest("strengths", resolved, None, t0))
 
 
 def _cmd_rolling(args) -> None:
     t0 = time.monotonic()
     panel = _load_panel(args)
-    window = int(args.window or 120)
-    rmax = int(args.rmax or DEFAULT_RMAX)
-    methods = (args.methods or "wz,bn,ed").split(",")
+    methods = args.methods.split(",")
     try:
-        result = rolling_analysis(panel, window=window, methods=methods, rmax=rmax,
-                                  c_multiplier=float(args.c or 1.0))
+        result = rolling_analysis(panel, window=args.window, methods=methods, rmax=args.rmax,
+                                  c_multiplier=args.c)
     except ValueError as exc:
         raise UserError(str(exc)) from None
     files = {"rolling.csv": rolling_to_csv(result)}
-    resolved = {"data": args.data, "orientation": args.orientation, "window": window,
-                "rmax": rmax, "methods": methods, "tcodes": args.tcodes}
+    resolved = {"data": args.data, "orientation": args.orientation, "window": args.window,
+                "rmax": args.rmax, "methods": methods, "tcodes": args.tcodes}
     _write_outputs(Path(args.out), files, _manifest("rolling", resolved, None, t0))
 
 
 def _cmd_heatmap(args) -> None:
     t0 = time.monotonic()
     panel = _load_panel(args)
-    rmax = int(args.rmax or DEFAULT_RMAX)
     time_range = None
     if args.start is not None or args.end is not None:
         if args.start is None or args.end is None:
@@ -312,14 +312,12 @@ def _cmd_heatmap(args) -> None:
         time_range = (args.start, args.end)
     try:
         export = subperiod_heatmap(
-            panel, time_range=time_range, rmax=rmax,
-            r=int(args.r) if args.r is not None else None,
-            c_multiplier=float(args.c or 1.0),
+            panel, time_range=time_range, rmax=args.rmax, r=args.r, c_multiplier=args.c
         )
     except ValueError as exc:
         raise UserError(str(exc)) from None
     files = {"heatmap.csv": heatmap_to_csv(export)}
-    resolved = {"data": args.data, "orientation": args.orientation, "rmax": rmax,
+    resolved = {"data": args.data, "orientation": args.orientation, "rmax": args.rmax,
                 "start": args.start, "end": args.end, "tcodes": args.tcodes}
     _write_outputs(Path(args.out), files, _manifest("heatmap", resolved, None, t0))
 
@@ -329,8 +327,8 @@ def _add_data_flags(p) -> None:
     p.add_argument("--orientation", default="series_in_rows",
                    choices=["series_in_rows", "series_in_columns"])
     p.add_argument("--tcodes", help="optional CSV of series,transform-code pairs")
-    p.add_argument("--rmax", type=int)
-    p.add_argument("--c", type=float, help="screening threshold multiplier")
+    p.add_argument("--rmax", type=int, default=DEFAULT_RMAX)
+    p.add_argument("--c", type=float, default=1.0, help="screening threshold multiplier")
     p.add_argument("--out", default=".", help="output directory")
 
 
@@ -370,7 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("select-r", help="estimate the number of factors")
     _add_data_flags(p)
-    p.add_argument("--methods", help="comma-separated subset of wz,bn,ed,ah")
+    p.add_argument("--methods", default="wz,bn,ed,ah",
+                   help="comma-separated subset of wz,bn,ed,ah")
     p.set_defaults(func=_cmd_select_r)
 
     p = sub.add_parser("strengths", help="screened factor strengths of a panel")
@@ -380,8 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rolling", help="rolling-window factor counts and strengths")
     _add_data_flags(p)
-    p.add_argument("--window", type=int, help="window length (default 120)")
-    p.add_argument("--methods", help="comma-separated subset of wz,bn,ed,ah")
+    p.add_argument("--window", type=int, default=120, help="window length")
+    p.add_argument("--methods", default="wz,bn,ed",
+                   help="comma-separated subset of wz,bn,ed,ah")
     p.set_defaults(func=_cmd_rolling)
 
     p = sub.add_parser("heatmap", help="censored screened-loading heat map export")

@@ -8,6 +8,9 @@ Four selectors over a shared eigendecomposition of ``X'X/(NT)``:
 * ``select_r_ed`` - Onatski's edge-distribution estimator (iterated OLS wedge
   on eigenvalue differences, slope doubled).
 * ``select_r_ah`` - Ahn-Horenstein eigenvalue ratio.
+
+The residual variances ``V(k)`` behind the SVT and IC_p1 rules are taken
+from the spectrum (``pca.residual_variances``); no selector refits the panel.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .panel import Panel
-from .pca import SymEig, eig_sym_desc, gram, pc_fit
+from .pca import SymEig, eig_sym_desc, gram, residual_variances
 
 DEFAULT_RMAX = 8
 
@@ -49,17 +52,16 @@ def _prep(panel: Panel, rmax: int, eig: SymEig | None) -> SymEig:
 def select_r_svt(panel: Panel, rmax: int = DEFAULT_RMAX, eig: SymEig | None = None) -> FactorCountResult:
     """Largest k whose eigenvalue clears ``sigma2 N^{-1/2} (ln ln N)^{1/2}``.
 
-    ``sigma2`` is the mean squared residual of the rmax-factor fit. Returns
-    r_hat = 0 when no eigenvalue clears the threshold. Exactly low-rank data
-    (sigma2 = 0) make the rule vacuous; the rank of X capped at rmax is
-    returned with a note.
+    ``sigma2 = V(rmax)`` is the mean squared residual of the rmax-factor fit,
+    read off the spectrum. Returns r_hat = 0 when no eigenvalue clears the
+    threshold. Exactly low-rank data (sigma2 = 0) make the rule vacuous; the
+    rank of X capped at rmax is returned with a note.
     """
     n, t = panel.values.shape
     if n < 16:
         raise ValueError(f"N must be at least 16 for the double-log threshold, got {n}")
     eig = _prep(panel, rmax, eig)
-    fit = pc_fit(panel, rmax, eig=eig)
-    sigma2 = float(np.mean(fit.resid**2))
+    sigma2 = float(residual_variances(panel, eig, rmax)[-1])
     notes = []
     if sigma2 <= 1e-12 * max(float(np.mean(panel.values**2)), 1e-300):
         rank = int(np.linalg.matrix_rank(panel.values))
@@ -79,9 +81,7 @@ def select_r_icp1(panel: Panel, rmax: int = DEFAULT_RMAX, eig: SymEig | None = N
     n, t = panel.values.shape
     eig = _prep(panel, rmax, eig)
     penalty = (n + t) / (n * t) * math.log(n * t / (n + t))
-    vks = np.empty(rmax)
-    for k in range(1, rmax + 1):
-        vks[k - 1] = np.mean(pc_fit(panel, k, eig=eig).resid ** 2)
+    vks = residual_variances(panel, eig, rmax)
     zero_floor = 1e-12 * max(float(np.mean(panel.values**2)), 1e-300)
     if np.any(vks <= zero_floor):
         k0 = int(np.nonzero(vks <= zero_floor)[0][0]) + 1

@@ -333,8 +333,3 @@ def standardize(panel: Panel) -> Panel:
             f"series {panel.series_ids[flat[0]]!r} is constant and cannot be standardized"
         )
     return replace(panel, values=(x - mean) / sd, standardized=True)
-
-
-def standardization_scale(panel: Panel) -> tuple[np.ndarray, np.ndarray]:
-    """Per-series (mean, sd) that ``standardize`` would remove; sd uses ddof=1."""
-    return panel.values.mean(axis=1), panel.values.std(axis=1, ddof=1)

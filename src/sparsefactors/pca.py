@@ -4,6 +4,10 @@ Estimation always decomposes the T x T Gram matrix ``X'X/(NT)`` (even when
 N < T; the N x N form changes the normalization convention). Estimated
 factors are ``sqrt(T)`` times the leading eigenvectors, loadings are
 ``X F / T``, and the fitted common component is ``Lambda F'``.
+
+Because ``F'F/T = I``, the mean squared residual of the k-factor fit is
+``mean(X^2) - (mu_1 + ... + mu_k)``: residual variances are read off the
+spectrum (``residual_variances``), never obtained by refitting.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import csv
 import io
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,18 +53,27 @@ class PcFit:
         ``X factors / T``.
     eigvals : ndarray, shape (r,)
         Leading eigenvalues of ``X'X/(NT)``, nonincreasing.
+    values : ndarray, shape (N, T)
+        The fitted panel's read-only values ``X`` (a reference, not a copy).
     common : ndarray, shape (N, T)
-        ``loadings @ factors.T``.
+        ``loadings @ factors.T``, computed on first read and cached.
     resid : ndarray, shape (N, T)
-        ``X - common``.
+        ``X - common``, computed on first read and cached.
     """
 
     r: int
     factors: np.ndarray
     loadings: np.ndarray
     eigvals: np.ndarray
-    common: np.ndarray
-    resid: np.ndarray
+    values: np.ndarray
+
+    @cached_property
+    def common(self) -> np.ndarray:
+        return self.loadings @ self.factors.T
+
+    @cached_property
+    def resid(self) -> np.ndarray:
+        return self.values - self.common
 
 
 def gram(panel: Panel) -> np.ndarray:
@@ -121,26 +135,26 @@ def pc_fit(panel: Panel, r: int, eig: SymEig | None = None) -> PcFit:
     if eig is None:
         eig = eig_sym_desc(gram(panel))
     factors = np.sqrt(t) * eig.vectors[:, :r]
-    loadings = x @ factors / t
-    common = loadings @ factors.T
     return PcFit(
         r=r,
         factors=factors,
-        loadings=loadings,
+        loadings=x @ factors / t,
         eigvals=eig.values[:r].copy(),
-        common=common,
-        resid=x - common,
+        values=x,
     )
 
 
-def sigma_hat(panel: Panel, rmax: int, eig: SymEig | None = None) -> float:
-    """Mean squared residual of the rmax-factor PC fit.
+def residual_variances(panel: Panel, eig: SymEig, kmax: int) -> np.ndarray:
+    """Mean squared residuals ``V(1..kmax)`` of the 1- to kmax-factor PC fits.
 
-    Estimates the average idiosyncratic variance ``(NT)^-1 sum E[e_it^2]``
-    in the style of the residual variance behind information criteria.
+    ``V(k) = mean(X^2) - (mu_1 + ... + mu_k)`` with ``eig`` the decomposition
+    of ``gram(panel)``; clamped at 0, since the subtraction cancels to
+    roundoff when X has rank at most k.
     """
-    fit = pc_fit(panel, rmax, eig=eig)
-    return float(np.mean(fit.resid**2))
+    if not 1 <= kmax <= len(eig.values):
+        raise ValueError(f"kmax must be in [1, {len(eig.values)}], got {kmax}")
+    total = float(np.mean(panel.values**2))
+    return np.maximum(total - np.cumsum(eig.values[:kmax]), 0.0)
 
 
 def export_pc_fit(fit: PcFit, panel: Panel) -> dict[str, str]:

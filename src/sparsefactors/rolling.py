@@ -51,11 +51,10 @@ class HeatmapExport:
     column_labels: tuple
 
 
-def _window_strengths(win: Panel, r_hat: int, rmax: int, c_multiplier: float, eig):
+def _window_strengths(win: Panel, r_hat: int, thr: float, eig):
     if r_hat == 0:
         return ()
     fit = pc_fit(win, r_hat, eig=eig)
-    thr = threshold_value(win.n_series, win.n_periods, c_multiplier)
     est = strengths(screen(fit, thr), win.n_series)
     return tuple(sorted(est.alpha_hat, reverse=True))
 
@@ -82,6 +81,7 @@ def rolling_analysis(
     unknown = [m for m in methods if m not in SELECTORS]
     if unknown:
         raise ValueError(f"unknown methods {unknown}")
+    thr = threshold_value(panel.n_series, window, c_multiplier)  # every window is N x window
     endpoints, notes, strengths_out = [], [], []
     r_series: dict = {m: [] for m in methods}
     for t in range(window, panel.n_periods + 1):
@@ -97,7 +97,7 @@ def rolling_analysis(
         for m in methods:
             r_series[m].append(SELECTORS[m](win, rmax=rmax, eig=eig).r_hat)
         r_wz = r_series["wz"][-1]
-        strengths_out.append(_window_strengths(win, r_wz, rmax, c_multiplier, eig))
+        strengths_out.append(_window_strengths(win, r_wz, thr, eig))
         endpoints.append(panel.time_ids[t - 1])
         notes.append("degenerate: r_hat = 0" if r_wz == 0 else "")
     return RollingResult(
@@ -161,6 +161,7 @@ def subperiod_heatmap(
         group_ids=panel.group_ids,
     )
     sub = standardize(sub)
+    thr = threshold_value(sub.n_series, sub.n_periods, c_multiplier)
     eig = eig_sym_desc(gram(sub))
     if r is None:
         r = SELECTORS["wz"](sub, rmax=rmax, eig=eig).r_hat
@@ -169,7 +170,7 @@ def subperiod_heatmap(
         cols: tuple = ()
     else:
         fit = pc_fit(sub, r, eig=eig)
-        sp = screen(fit, threshold_value(sub.n_series, sub.n_periods, c_multiplier))
+        sp = screen(fit, thr)
         est = strengths(sp, sub.n_series)
         values = np.minimum(np.abs(sp.lambda_hat), HEATMAP_CENSOR)
         order = np.argsort([-a for a in est.alpha_hat], kind="stable")

@@ -32,7 +32,6 @@ class SparseFit:
     supports: tuple
     counts: tuple
     threshold: float
-    c_multiplier: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -78,22 +77,6 @@ def screen(fit: PcFit, threshold: float) -> SparseFit:
     )
 
 
-def rescreen(sparse: SparseFit) -> SparseFit:
-    """Screen an already screened matrix with its own threshold (idempotence check)."""
-    keep = np.abs(sparse.lambda_hat) > sparse.threshold
-    lambda_hat = np.where(keep, sparse.lambda_hat, 0.0)
-    supports = tuple(
-        frozenset(np.nonzero(keep[:, k])[0].tolist()) for k in range(sparse.lambda_hat.shape[1])
-    )
-    return SparseFit(
-        lambda_hat=lambda_hat,
-        supports=supports,
-        counts=tuple(len(s) for s in supports),
-        threshold=sparse.threshold,
-        c_multiplier=sparse.c_multiplier,
-    )
-
-
 def _label(alpha: float, count: int) -> str:
     if count == 0:
         return "reduced"
@@ -130,12 +113,12 @@ def symm_diff_ratio(true_support, est_support, alpha: float, n: int) -> float:
     return len(a ^ b) / n**alpha
 
 
-def sparse_summary(sparse: SparseFit, n: int) -> dict:
-    """JSON-ready summary: threshold, counts, strengths, labels."""
+def sparse_summary(sparse: SparseFit, n: int, c_multiplier: float) -> dict:
+    """JSON-ready summary: threshold, its multiplier ``c``, counts, strengths, labels."""
     est = strengths(sparse, n)
     return {
         "threshold": sparse.threshold,
-        "c_multiplier": sparse.c_multiplier,
+        "c_multiplier": c_multiplier,
         "counts": list(sparse.counts),
         "alpha_hat": list(est.alpha_hat),
         "labels": list(est.labels),

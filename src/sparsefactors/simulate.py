@@ -332,6 +332,12 @@ def run_replications(
     """
     if R < 1:
         raise ValueError(f"R must be positive, got {R}")
+    if rmax < 1:
+        raise ValueError(f"rmax must be positive, got {rmax}")
+    if c_multiplier <= 0:
+        raise ValueError(f"c must be positive, got {c_multiplier}")
+    if workers < 1:
+        raise ValueError(f"workers must be positive, got {workers}")
     tasks = frozenset(tasks)
     unknown = tasks - ALL_TASKS
     if unknown:

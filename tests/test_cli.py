@@ -168,3 +168,60 @@ class TestDataCommands:
 
     def test_unknown_subcommand_exits_one(self):
         assert run_cli(["frobnicate"]) == 1
+
+
+class TestStrengthsRecordMultiplier:
+    def test_estimate_records_the_c_it_used(self, tmp_path):
+        data = write_panel_csv(tmp_path / "panel.csv")
+        payload = {}
+        for c in ("1", "2"):
+            out = tmp_path / f"c{c}"
+            assert run_cli(["estimate", "--data", str(data), "--r", "2", "--c", c,
+                            "--out", str(out)]) == 0
+            payload[c] = json.loads((out / "strengths.json").read_text())
+        assert payload["2"]["c_multiplier"] == 2.0
+        assert payload["1"]["c_multiplier"] == 1.0
+        assert payload["2"]["threshold"] == pytest.approx(2.0 * payload["1"]["threshold"],
+                                                          rel=1e-15)
+
+    def test_strengths_command_records_the_c_it_used(self, tmp_path):
+        data = write_panel_csv(tmp_path / "panel.csv")
+        out = tmp_path / "s"
+        assert run_cli(["strengths", "--data", str(data), "--r", "2", "--c", "1.5",
+                        "--out", str(out)]) == 0
+        assert json.loads((out / "strengths.json").read_text())["c_multiplier"] == 1.5
+
+
+SIM = ["simulate", "--N", "36", "--T", "36", "--r", "2", "--alpha", "0.9,0.7",
+       "--seed", "1", "--reps", "2", "--rmax", "4"]
+
+
+@pytest.mark.parametrize(
+    "argv, code, fragment",
+    [
+        (SIM + ["--reps", "0"], 1, "R must be positive, got 0"),
+        (SIM + ["--rmax", "0"], 1, "rmax must be positive, got 0"),
+        (SIM + ["--c", "0"], 1, "c must be positive, got 0"),
+        (SIM + ["--c", "-1"], 1, "c must be positive, got -1"),
+        (SIM + ["--workers", "0"], 1, "workers must be positive, got 0"),
+        (SIM + ["--burn-in", "0"], 1, "burn_in must be at least 50, got 0"),
+        (["estimate", "--rmax", "60"], 1, "rmax must be in [1, 40], got 60"),
+        (["estimate", "--rmax", "0"], 1, "rmax must be in [1, 40], got 0"),
+        (["estimate", "--r", "0"], 1, "r must be in [1, 40], got 0"),
+        (["estimate", "--r", "2", "--c", "0"], 1, "c must be positive, got 0"),
+        (["strengths", "--rmax", "60"], 1, "rmax must be in [1, 40], got 60"),
+        (["strengths", "--r", "2", "--c", "0"], 1, "c must be positive, got 0"),
+        (["select-r", "--rmax", "0"], 1, "rmax must be in [1, 40], got 0"),
+        (["rolling", "--window", "0"], 1, "window must be at least 10 periods, got 0"),
+        (["rolling", "--window", "30", "--rmax", "0"], 1, "rmax must be in [1, 30], got 0"),
+        (["rolling", "--window", "30", "--c", "0"], 1, "c must be positive, got 0"),
+        (["heatmap", "--r", "2", "--c", "0"], 1, "c must be positive, got 0"),
+    ],
+)
+def test_explicit_values_are_never_replaced_by_defaults(tmp_path, capsys, argv, code, fragment):
+    if argv[0] != "simulate":
+        argv = argv + ["--data", str(write_panel_csv(tmp_path / "panel.csv"))]
+    assert run_cli(argv + ["--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert fragment in err

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sparsefactors import Panel, eig_sym_desc, export_pc_fit, gram, pc_fit, sigma_hat
+from sparsefactors import Panel, eig_sym_desc, export_pc_fit, gram, pc_fit, residual_variances
 from sparsefactors.pca import StandardizationWarning
 
 from jacobi_oracle import jacobi_eigh
@@ -148,21 +148,51 @@ class TestPcFit:
         assert out["eigenvalues"].splitlines()[0] == "k,eigenvalue"
 
 
-class TestSigmaHat:
+class TestResidualVariances:
+    def variances(self, panel, kmax):
+        return residual_variances(panel, eig_sym_desc(gram(panel)), kmax)
+
     def test_zero_for_noise_free_rank_one(self):
         rng = np.random.default_rng(31)
         c0 = rng.normal(size=(10, 1)) @ rng.normal(size=(1, 25))
-        assert sigma_hat(panel_of(c0), 1) < 1e-12
+        assert self.variances(panel_of(c0), 1)[0] < 1e-12
 
     def test_zero_at_exact_rank(self):
         rng = np.random.default_rng(32)
         x = rng.normal(size=(12, 3)) @ rng.normal(size=(3, 30))
-        assert sigma_hat(panel_of(x), 3) < 1e-10
+        assert self.variances(panel_of(x), 3)[2] < 1e-10
 
     def test_matches_direct_residual_computation(self):
         panel = random_panel(100, 100, seed=33)
-        fit = pc_fit(panel, 8)
-        direct = float(np.mean(fit.resid**2))
-        val = sigma_hat(panel, 8)
-        assert 0.0 < val < 1.0
-        assert abs(val - direct) < 1e-12
+        vks = self.variances(panel, 8)
+        assert vks.shape == (8,)
+        for k in range(1, 9):
+            direct = float(np.mean(pc_fit(panel, k).resid ** 2))
+            assert 0.0 < vks[k - 1] < 1.0
+            assert abs(vks[k - 1] - direct) < 1e-12
+
+    def test_nonincreasing_and_never_negative(self):
+        rng = np.random.default_rng(34)
+        x = rng.normal(size=(9, 2)) @ rng.normal(size=(2, 14))
+        vks = self.variances(panel_of(x), 9)
+        assert np.all(vks >= 0.0)
+        assert np.all(np.diff(vks) <= 1e-15)
+
+    def test_kmax_out_of_range(self):
+        panel = random_panel(5, 8, seed=35)
+        eig = eig_sym_desc(gram(panel))
+        with pytest.raises(ValueError):
+            residual_variances(panel, eig, 0)
+        with pytest.raises(ValueError):
+            residual_variances(panel, eig, 9)
+
+
+class TestLazyFit:
+    def test_common_and_resid_built_on_first_read(self):
+        panel = random_panel(8, 12, seed=36)
+        fit = pc_fit(panel, 2)
+        assert "common" not in vars(fit) and "resid" not in vars(fit)
+        assert fit.values is panel.values
+        resid = fit.resid
+        assert set(vars(fit)) >= {"common", "resid"}
+        assert fit.resid is resid  # cached, not rebuilt

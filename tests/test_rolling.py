@@ -34,6 +34,13 @@ class TestRollingAnalysis:
         assert result.r_hat_series["wz"][0] == full["wz"].r_hat
         assert result.r_hat_series["bn"][0] == full["bn"].r_hat
 
+    def test_at_most_one_pc_fit_per_window(self, pc_fit_calls):
+        panel, _ = sim_panel(30, 70, seed=2)
+        result = rolling_analysis(panel, window=40, methods=("wz", "bn", "ed"), rmax=4)
+        fitted = sum(r > 0 for r in result.r_hat_series["wz"])
+        assert fitted > 0
+        assert len(pc_fit_calls) == fitted <= len(result.endpoints)
+
     def test_window_count_and_order(self):
         panel, _ = sim_panel(30, 70, seed=2)
         result = rolling_analysis(panel, window=40, methods=("wz",), rmax=4)

@@ -11,7 +11,7 @@ from sparsefactors import (
     symm_diff_ratio,
     threshold_value,
 )
-from sparsefactors.screening import SparseFit, rescreen
+from sparsefactors.screening import SparseFit
 
 
 def fit_with_loadings(loadings):
@@ -74,7 +74,7 @@ class TestScreen:
     def test_idempotent(self):
         rng = np.random.default_rng(4)
         sp = screen(fit_with_loadings(rng.normal(size=(30, 3))), 0.5)
-        again = rescreen(sp)
+        again = screen(fit_with_loadings(sp.lambda_hat), sp.threshold)
         assert np.array_equal(again.lambda_hat, sp.lambda_hat)
         assert again.supports == sp.supports
 

@@ -200,6 +200,12 @@ class TestRunReplications:
         assert report.aggregates["failed"] == 1
         assert report.per_rep[1].error == "RuntimeError: boom"
 
+    def test_one_pc_fit_per_replication(self, pc_fit_calls):
+        cfg = SimConfig(N=40, T=40, r=2, alpha=(0.9, 0.7), seed=8)
+        report = run_replications(cfg, 3, rmax=4)  # every task
+        assert report.aggregates["failed"] == 0
+        assert len(pc_fit_calls) == 3
+
     def test_tasks_subset(self):
         cfg = SimConfig(N=40, T=40, r=2, alpha=(0.9, 0.7), seed=8)
         report = run_replications(cfg, 2, tasks={"wz"}, rmax=4)
