@@ -11,6 +11,7 @@ __version__ = "0.1.0"
 from .errors import (
     DegenerateSeriesError,
     InsufficientSampleError,
+    InvalidArgumentError,
     PanelParseError,
     SparseFactorsError,
     TransformError,
@@ -75,6 +76,7 @@ __all__ = [
     "FactorCountResult",
     "HeatmapExport",
     "InsufficientSampleError",
+    "InvalidArgumentError",
     "MetricsReport",
     "Panel",
     "PanelParseError",

@@ -1,11 +1,17 @@
 """Command-line entry point.
 
 Subcommands: ``simulate``, ``estimate``, ``select-r``, ``strengths``,
-``rolling``, ``heatmap``. Options can come from a JSON config file
-(``--config``) with command-line flags taking precedence. Every run writes
-its outputs atomically (temp file + rename) plus a ``manifest.json`` with
-the fully resolved configuration, the seed actually used, package versions,
-and wall time. Exit status: 0 success, 1 user error, 2 internal error.
+``rolling``, ``heatmap``. ``simulate`` options can also come from a JSON
+config file (``--config``), with command-line flags taking precedence.
+
+Each command maps its arguments to its output files and the resolved
+configuration. :func:`run_cli` alone writes them atomically (temp file +
+rename) together with a ``manifest.json`` holding the resolved
+configuration, the seed actually used, package versions, and wall time, and
+maps the outcome to an exit status: 0 success; 1 for any
+:class:`~sparsefactors.errors.SparseFactorsError`, i.e. a bad file, flag or
+config value (the library raises :class:`InvalidArgumentError` for those),
+reported on one line naming it; 2 for anything else, which is a bug.
 """
 
 from __future__ import annotations
@@ -18,22 +24,19 @@ import os
 import secrets
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .errors import SparseFactorsError
+from .errors import InvalidArgumentError, SparseFactorsError
 from .factor_count import DEFAULT_RMAX, diagnostics_json, select_r, select_r_svt
-from .panel import align_and_trim, ingest_csv, standardize
+from .panel import VALID_TCODES, align_and_trim, ingest_csv, standardize
 from .pca import eig_sym_desc, export_pc_fit, gram, pc_fit
 from .rolling import heatmap_to_csv, rolling_analysis, rolling_to_csv, subperiod_heatmap
 from .screening import screen, sparse_summary, threshold_value
 from .simulate import ALL_TASKS, SimConfig, run_replications
-
-
-class UserError(Exception):
-    """Bad input or flags; reported on stderr with exit status 1."""
 
 
 def _atomic_write(path: Path, content: str) -> None:
@@ -43,287 +46,266 @@ def _atomic_write(path: Path, content: str) -> None:
 
 
 def _write_outputs(outdir: Path, files: dict, manifest: dict) -> None:
-    outdir.mkdir(parents=True, exist_ok=True)
-    for name, content in files.items():
-        _atomic_write(outdir / name, content)
-    manifest["outputs"] = sorted(files)
-    _atomic_write(outdir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name, content in files.items():
+            _atomic_write(outdir / name, content)
+        manifest["outputs"] = sorted(files)
+        _atomic_write(outdir / "manifest.json",
+                      json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    except OSError as exc:
+        raise InvalidArgumentError(
+            f"cannot write output directory {outdir}: {exc.strerror}") from None
 
 
-def _manifest(subcommand: str, resolved: dict, seed, t0: float) -> dict:
+def _manifest(subcommand: str, resolved: dict, t0: float) -> dict:
     return {
         "subcommand": subcommand,
         "config": resolved,
-        "seed": seed,
-        "versions": {
-            "python": sys.version.split()[0],
-            "numpy": np.__version__,
-            "sparsefactors": __version__,
-        },
+        "seed": resolved.get("seed"),
+        "versions": {"python": sys.version.split()[0], "numpy": np.__version__,
+                     "sparsefactors": __version__},
         "wall_time_s": round(time.monotonic() - t0, 3),
     }
+
+
+def _read_text(path, what: str) -> str:
+    """Contents of a UTF-8 input file; an unreadable or undecodable file is a bad argument."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except OSError as exc:
+        raise InvalidArgumentError(f"cannot read {what} file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise InvalidArgumentError(
+            f"{what} file {path} is not UTF-8 text (byte {exc.start})") from None
 
 
 def _load_config_file(path) -> dict:
     if path is None:
         return {}
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise UserError(f"config file not found: {path}") from None
+        cfg = json.loads(_read_text(path, "config"))
     except json.JSONDecodeError as exc:
-        raise UserError(f"config file is not valid JSON: {exc}") from None
+        raise InvalidArgumentError(f"config file {path} is not valid JSON: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise InvalidArgumentError(f"config file {path} must hold a JSON object, "
+                                   f"not {type(cfg).__name__}")
+    return cfg
 
 
-def _resolve(args: argparse.Namespace, keys, defaults) -> dict:
-    """Merge config-file values with flags; flags win when explicitly given.
+def _items(value) -> list:
+    """Entries of a comma-separated flag or of a config-file list."""
+    return value.split(",") if isinstance(value, str) else list(value)
 
-    ``defaults`` fills only keys given nowhere: an explicit 0 is kept.
-    """
-    file_cfg = _load_config_file(getattr(args, "config", None))
+
+def _convert(convert, value, what: str):
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise InvalidArgumentError(f"invalid {what}: {value!r}") from None
+
+
+# simulate's options: key -> (default, converter); a default of ... marks a required key.
+# The default fills only a key given neither as a flag nor in the config file, so an
+# explicit 0 is kept.
+_SIMULATE_OPTIONS = {
+    "N": (..., int),
+    "T": (..., int),
+    "r": (..., int),
+    "alpha": (..., lambda v: tuple(float(a) for a in _items(v))),
+    "seed": (None, int),
+    "burn_in": (100, int),
+    "support_mode": ("random", str),
+    "contiguous_ranges": (None, lambda v: tuple(tuple(rg) for rg in v)),
+    "standardize": (False, bool),
+    "reps": (100, int),
+    "rmax": (DEFAULT_RMAX, int),
+    "c": (1.0, float),
+    "tasks": (sorted(ALL_TASKS), lambda v: sorted(_items(v))),
+    "workers": (1, int),
+}
+
+
+def _resolve(args: argparse.Namespace) -> dict:
+    """Merge config-file values with flags (flags win) and convert each value."""
+    file_cfg = _load_config_file(args.config)
     resolved = {}
-    for key in keys:
+    for key, (default, convert) in _SIMULATE_OPTIONS.items():
         value = getattr(args, key, None)
         if value is None:
             value = file_cfg.get(key)
-        resolved[key] = defaults.get(key) if value is None else value
+        if value is not None:
+            resolved[key] = _convert(convert, value, f"value for {key}")
+        elif default is ...:
+            raise InvalidArgumentError(f"simulate requires {key} (flag or config file)")
+        else:
+            resolved[key] = default
     return resolved
 
 
-def _load_panel(args) -> object:
-    if args.data is None:
-        raise UserError("--data is required")
-    try:
-        with open(args.data, "rb") as fh:
-            panel, report = ingest_csv(fh, orientation=args.orientation)
-    except FileNotFoundError:
-        raise UserError(f"cannot read data file: {args.data}") from None
-    if len(report):
-        for name, reason in report.dropped:
-            print(f"dropped series {name}: {reason}", file=sys.stderr)
+def _load_panel(args):
+    panel, report = ingest_csv(_read_text(args.data, "data"), orientation=args.orientation)
+    for name, reason in report.dropped:
+        print(f"dropped series {name}: {reason}", file=sys.stderr)
     if args.tcodes is not None:
-        codes = _read_tcodes(args.tcodes, panel.series_ids)
-        panel = align_and_trim(panel, codes)
+        panel = align_and_trim(panel, _read_tcodes(args.tcodes, panel.series_ids))
     return standardize(panel)
 
 
 def _read_tcodes(path, series_ids) -> list:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise UserError(f"cannot read tcodes file: {path}") from None
+    reader = csv.reader(io.StringIO(_read_text(path, "tcodes")))
     mapping = {}
-    for row in csv.reader(io.StringIO(text)):
-        if not row or row[0].strip().lower() in ("series", ""):
-            continue
-        mapping[row[0].strip()] = int(row[1])
+    try:
+        for row in reader:
+            if not row or row[0].strip().lower() in ("series", ""):
+                continue
+            where = f"tcodes file {path}, row {reader.line_num}"
+            if len(row) < 2:
+                raise InvalidArgumentError(f"{where}: no transformation code")
+            code = _convert(int, row[1], f"code in {where}")
+            if code not in VALID_TCODES:
+                raise InvalidArgumentError(f"{where}: code {code} is not in 1..7")
+            mapping[row[0].strip()] = code
+    except csv.Error as exc:
+        raise InvalidArgumentError(f"tcodes file {path}, row {reader.line_num}: {exc}") from None
     missing = [s for s in series_ids if s not in mapping]
     if missing:
-        raise UserError(f"tcodes file missing {len(missing)} series (first: {missing[0]})")
+        raise InvalidArgumentError(
+            f"tcodes file {path} has no code for {len(missing)} series (first: {missing[0]})"
+        )
     return [mapping[s] for s in series_ids]
 
 
-def _seed_of(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return int(args.seed)
-    return secrets.randbits(63)  # recorded in the manifest so the run is replayable
-
-
-def _cmd_simulate(args) -> None:
-    t0 = time.monotonic()
-    keys = ("N", "T", "r", "alpha", "seed", "burn_in", "support_mode",
-            "contiguous_ranges", "standardize", "reps", "rmax", "c", "tasks", "workers")
-    defaults = {"burn_in": 100, "support_mode": "random", "standardize": False, "reps": 100,
-                "rmax": DEFAULT_RMAX, "c": 1.0, "workers": 1}
-    resolved = _resolve(args, keys, defaults)
-    for req in ("N", "T", "r", "alpha"):
-        if resolved[req] is None:
-            raise UserError(f"simulate requires {req} (flag or config file)")
-    if isinstance(resolved["alpha"], str):
-        resolved["alpha"] = [float(a) for a in resolved["alpha"].split(",")]
-    seed = int(resolved["seed"]) if resolved["seed"] is not None else _seed_of(args)
-    resolved["seed"] = seed
-    reps = int(resolved["reps"])
-    rmax = int(resolved["rmax"])
-    c_mult = float(resolved["c"])
-    workers = int(resolved["workers"])
-    tasks = resolved["tasks"]
-    if tasks is None:
-        tasks = sorted(ALL_TASKS)
-    elif isinstance(tasks, str):
-        tasks = tasks.split(",")
-    try:
-        config = SimConfig(
-            N=int(resolved["N"]),
-            T=int(resolved["T"]),
-            r=int(resolved["r"]),
-            alpha=tuple(resolved["alpha"]),
-            seed=seed,
-            burn_in=int(resolved["burn_in"]),
-            support_mode=resolved["support_mode"],
-            contiguous_ranges=tuple(tuple(rg) for rg in resolved["contiguous_ranges"])
-            if resolved["contiguous_ranges"]
-            else None,
-            standardize=bool(resolved["standardize"]),
-        )
-        report = run_replications(
-            config, reps, tasks=tasks, rmax=rmax, c_multiplier=c_mult, workers=workers
-        )
-    except ValueError as exc:
-        raise UserError(str(exc)) from None
-    resolved.update({"reps": reps, "rmax": rmax, "c": c_mult, "tasks": sorted(tasks)})
+def _cmd_simulate(args) -> tuple[dict, dict]:
+    resolved = _resolve(args)
+    if resolved["seed"] is None:
+        resolved["seed"] = secrets.randbits(63)  # recorded in the manifest so the run is replayable
+    config = SimConfig(**{f.name: resolved[f.name] for f in fields(SimConfig)})
+    report = run_replications(config, resolved["reps"], tasks=resolved["tasks"],
+                              rmax=resolved["rmax"], c_multiplier=resolved["c"],
+                              workers=resolved["workers"])
     files = {"report.json": json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"}
     files.update(_report_tables(report, config))
-    _write_outputs(Path(args.out), files, _manifest("simulate", resolved, seed, t0))
+    return files, resolved
+
+
+def _csv_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 def _report_tables(report, config) -> dict:
-    agg = report.aggregates
+    agg, nt = report.aggregates, [config.N, config.T]
     files = {}
     if agg.get("r_hat"):
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["N", "T", "method", "rmse", "bias", "mean"])
-        for m, stats in sorted(agg["r_hat"].items()):
-            w.writerow([config.N, config.T, m, stats["rmse"], stats["bias"], stats["mean"]])
-        files["factor_counts.csv"] = buf.getvalue()
+        files["factor_counts.csv"] = _csv_text(
+            [["N", "T", "method", "rmse", "bias", "mean"]]
+            + [nt + [m, s["rmse"], s["bias"], s["mean"]] for m, s in sorted(agg["r_hat"].items())]
+        )
     if agg.get("mean_tr_f") is not None:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["N", "T", "tr_f", "tr_lambda", "rmse_c"])
-        w.writerow([config.N, config.T, agg["mean_tr_f"], agg["mean_tr_lambda"], agg["mean_rmse_c"]])
-        files["estimation.csv"] = buf.getvalue()
+        files["estimation.csv"] = _csv_text([
+            ["N", "T", "tr_f", "tr_lambda", "rmse_c"],
+            nt + [agg["mean_tr_f"], agg["mean_tr_lambda"], agg["mean_rmse_c"]],
+        ])
     if agg.get("fdr") is not None:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["N", "T", "factor", "fdr", "power"])
-        for k, (f, p) in enumerate(zip(agg["fdr"], agg["power"]), start=1):
-            w.writerow([config.N, config.T, k, f, p])
-        w.writerow([config.N, config.T, "overall", agg["mean_fdr_overall"], agg["mean_power_overall"]])
-        files["support_recovery.csv"] = buf.getvalue()
+        files["support_recovery.csv"] = _csv_text(
+            [["N", "T", "factor", "fdr", "power"]]
+            + [nt + [k, f, p] for k, (f, p) in enumerate(zip(agg["fdr"], agg["power"]), start=1)]
+            + [nt + ["overall", agg["mean_fdr_overall"], agg["mean_power_overall"]]]
+        )
     if agg.get("alpha_hat") is not None:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["N", "T", "factor", "alpha_true", "rmse", "bias", "mean"])
-        for k, stats in enumerate(agg["alpha_hat"]):
-            w.writerow([config.N, config.T, k + 1, config.alpha[k],
-                        stats["rmse"], stats["bias"], stats["mean"]])
-        files["strengths.csv"] = buf.getvalue()
+        files["strengths.csv"] = _csv_text(
+            [["N", "T", "factor", "alpha_true", "rmse", "bias", "mean"]]
+            + [nt + [k + 1, config.alpha[k], s["rmse"], s["bias"], s["mean"]]
+               for k, s in enumerate(agg["alpha_hat"])]
+        )
     return files
 
 
-def _cmd_estimate(args) -> None:
-    t0 = time.monotonic()
+def _cmd_estimate(args) -> tuple[dict, dict]:
     panel = _load_panel(args)
     eig = eig_sym_desc(gram(panel))
-    try:
-        if args.r is None:
-            r = select_r_svt(panel, rmax=args.rmax, eig=eig).r_hat
-            if r == 0:
-                raise UserError("SVT rule detected no factors; pass --r to force a fit")
-        else:
-            r = args.r
-        fit = pc_fit(panel, r, eig=eig)
-        sp = screen(fit, threshold_value(panel.n_series, panel.n_periods, args.c))
-    except ValueError as exc:
-        raise UserError(str(exc)) from None
+    r = args.r
+    if r is None:
+        r = select_r_svt(panel, rmax=args.rmax, eig=eig).r_hat
+        if r == 0:
+            raise SparseFactorsError("SVT rule detected no factors; pass --r to force a fit")
+    fit = pc_fit(panel, r, eig=eig)
+    sp = screen(fit, threshold_value(panel.n_series, panel.n_periods, args.c))
     tables = export_pc_fit(fit, panel)
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["series"] + [f"pc{k + 1}" for k in range(r)])
-    for name, row in zip(panel.series_ids, sp.lambda_hat):
-        w.writerow([name] + [repr(float(v)) for v in row])
     files = {
         "factors.csv": tables["factors"],
         "loadings.csv": tables["loadings"],
         "eigenvalues.csv": tables["eigenvalues"],
-        "screened_loadings.csv": buf.getvalue(),
+        "screened_loadings.csv": _csv_text(
+            [["series"] + [f"pc{k + 1}" for k in range(r)]]
+            + [[name] + [repr(float(v)) for v in row]
+               for name, row in zip(panel.series_ids, sp.lambda_hat)]
+        ),
         "strengths.json": json.dumps(sparse_summary(sp, panel.n_series, args.c), indent=2) + "\n",
     }
-    resolved = {"data": args.data, "orientation": args.orientation, "r": r,
-                "rmax": args.rmax, "c": args.c, "tcodes": args.tcodes}
-    _write_outputs(Path(args.out), files, _manifest("estimate", resolved, None, t0))
+    return files, _data_config(args, r=r)
 
 
-def _cmd_select_r(args) -> None:
-    t0 = time.monotonic()
+def _cmd_select_r(args) -> tuple[dict, dict]:
     panel = _load_panel(args)
     methods = args.methods.split(",")
-    try:
-        results = select_r(panel, methods, rmax=args.rmax)
-    except ValueError as exc:
-        raise UserError(str(exc)) from None
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(methods)
-    w.writerow([results[m].r_hat for m in methods])
+    results = select_r(panel, methods, rmax=args.rmax)
     files = {
-        "r_hat.csv": buf.getvalue(),
+        "r_hat.csv": _csv_text([methods, [results[m].r_hat for m in methods]]),
         "diagnostics.json": json.dumps(diagnostics_json(results), indent=2, sort_keys=True) + "\n",
     }
-    resolved = {"data": args.data, "orientation": args.orientation,
-                "rmax": args.rmax, "methods": methods, "tcodes": args.tcodes}
-    _write_outputs(Path(args.out), files, _manifest("select-r", resolved, None, t0))
+    return files, _data_config(args, methods=methods)
 
 
-def _cmd_strengths(args) -> None:
-    t0 = time.monotonic()
+def _cmd_strengths(args) -> tuple[dict, dict]:
     panel = _load_panel(args)
     eig = eig_sym_desc(gram(panel))
-    try:
-        r = select_r_svt(panel, rmax=args.rmax, eig=eig).r_hat if args.r is None else args.r
-        thr = threshold_value(panel.n_series, panel.n_periods, args.c)
-        if r == 0:
-            summary = {"threshold": None, "counts": [], "alpha_hat": [], "labels": [],
-                       "note": "degenerate: no factors detected"}
-        else:
-            sp = screen(pc_fit(panel, r, eig=eig), thr)
-            summary = sparse_summary(sp, panel.n_series, args.c)
-    except ValueError as exc:
-        raise UserError(str(exc)) from None
-    files = {"strengths.json": json.dumps(summary, indent=2) + "\n"}
-    resolved = {"data": args.data, "orientation": args.orientation, "r": r,
-                "rmax": args.rmax, "c": args.c, "tcodes": args.tcodes}
-    _write_outputs(Path(args.out), files, _manifest("strengths", resolved, None, t0))
+    r = select_r_svt(panel, rmax=args.rmax, eig=eig).r_hat if args.r is None else args.r
+    thr = threshold_value(panel.n_series, panel.n_periods, args.c)
+    if args.r is None and r == 0:  # an explicit 0 is rejected by pc_fit
+        summary = {"threshold": None, "counts": [], "alpha_hat": [], "labels": [],
+                   "note": "degenerate: no factors detected"}
+    else:
+        sp = screen(pc_fit(panel, r, eig=eig), thr)
+        summary = sparse_summary(sp, panel.n_series, args.c)
+    return {"strengths.json": json.dumps(summary, indent=2) + "\n"}, _data_config(args, r=r)
 
 
-def _cmd_rolling(args) -> None:
-    t0 = time.monotonic()
+def _cmd_rolling(args) -> tuple[dict, dict]:
     panel = _load_panel(args)
     methods = args.methods.split(",")
-    try:
-        result = rolling_analysis(panel, window=args.window, methods=methods, rmax=args.rmax,
-                                  c_multiplier=args.c)
-    except ValueError as exc:
-        raise UserError(str(exc)) from None
+    result = rolling_analysis(panel, window=args.window, methods=methods, rmax=args.rmax,
+                              c_multiplier=args.c)
     files = {"rolling.csv": rolling_to_csv(result)}
-    resolved = {"data": args.data, "orientation": args.orientation, "window": args.window,
-                "rmax": args.rmax, "methods": methods, "tcodes": args.tcodes}
-    _write_outputs(Path(args.out), files, _manifest("rolling", resolved, None, t0))
+    return files, _data_config(args, window=args.window, methods=methods)
 
 
-def _cmd_heatmap(args) -> None:
-    t0 = time.monotonic()
+def _cmd_heatmap(args) -> tuple[dict, dict]:
     panel = _load_panel(args)
     time_range = None
     if args.start is not None or args.end is not None:
         if args.start is None or args.end is None:
-            raise UserError("--start and --end must be given together")
+            raise InvalidArgumentError("--start and --end must be given together")
         time_range = (args.start, args.end)
-    try:
-        export = subperiod_heatmap(
-            panel, time_range=time_range, rmax=args.rmax, r=args.r, c_multiplier=args.c
-        )
-    except ValueError as exc:
-        raise UserError(str(exc)) from None
+    export = subperiod_heatmap(
+        panel, time_range=time_range, rmax=args.rmax, r=args.r, c_multiplier=args.c
+    )
     files = {"heatmap.csv": heatmap_to_csv(export)}
-    resolved = {"data": args.data, "orientation": args.orientation, "rmax": args.rmax,
-                "start": args.start, "end": args.end, "tcodes": args.tcodes}
-    _write_outputs(Path(args.out), files, _manifest("heatmap", resolved, None, t0))
+    return files, _data_config(args, r=len(export.column_labels), start=args.start, end=args.end)
+
+
+_DATA_KEYS = ("data", "orientation", "tcodes", "rmax", "c")
+
+
+def _data_config(args, **own) -> dict:
+    """Manifest configuration of a data command: the shared data flags plus its own keys."""
+    return {**{key: getattr(args, key) for key in _DATA_KEYS}, **own}
 
 
 def _add_data_flags(p) -> None:
-    p.add_argument("--data", help="panel CSV path")
+    p.add_argument("--data", required=True, help="panel CSV path")
     p.add_argument("--orientation", default="series_in_rows",
                    choices=["series_in_rows", "series_in_columns"])
     p.add_argument("--tcodes", help="optional CSV of series,transform-code pairs")
@@ -359,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "wz,bn,ed,ah,fit,sparsity,rotation")
     p.add_argument("--workers", type=int)
     p.add_argument("--out", default=".")
-    p.set_defaults(func=_cmd_simulate, contiguous_ranges=None)
+    p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("estimate", help="PC fit + screening on a panel CSV")
     _add_data_flags(p)
@@ -394,21 +376,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_cli(argv=None) -> int:
+    """Run one subcommand and write its outputs; return the exit status (0, 1 or 2)."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse prints its own diagnostic; map its exit 2 onto "user error"
         return 0 if not exc.code else 1
+    t0 = time.monotonic()
     try:
-        args.func(args)
-        return 0
-    except (UserError, SparseFactorsError) as exc:
+        files, resolved = args.func(args)
+        _write_outputs(Path(args.out), files, _manifest(args.subcommand, resolved, t0))
+    except SparseFactorsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:  # internal error
+    except Exception as exc:  # a bug, not a bad input
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 def main() -> None:

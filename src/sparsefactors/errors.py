@@ -1,8 +1,19 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every error the package raises on bad input derives from
+:class:`SparseFactorsError`; the command line reports those with exit
+status 1 and treats anything else as a bug (exit 2). Argument checks raise
+:class:`InvalidArgumentError`, which is also a ``ValueError`` so callers that
+catch ``ValueError`` keep working.
+"""
 
 
 class SparseFactorsError(Exception):
     """Base class for all package errors."""
+
+
+class InvalidArgumentError(SparseFactorsError, ValueError):
+    """An argument, file or configuration value is out of range or malformed."""
 
 
 class PanelParseError(SparseFactorsError):

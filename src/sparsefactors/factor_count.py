@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidArgumentError
 from .panel import Panel
 from .pca import SymEig, eig_sym_desc, gram, residual_variances
 
@@ -45,7 +46,7 @@ class FactorCountResult:
 def _prep(panel: Panel, rmax: int, eig: SymEig | None) -> SymEig:
     n, t = panel.values.shape
     if not 1 <= rmax <= min(n, t):
-        raise ValueError(f"rmax must be in [1, {min(n, t)}], got {rmax}")
+        raise InvalidArgumentError(f"rmax must be in [1, {min(n, t)}], got {rmax}")
     return eig if eig is not None else eig_sym_desc(gram(panel))
 
 
@@ -59,7 +60,7 @@ def select_r_svt(panel: Panel, rmax: int = DEFAULT_RMAX, eig: SymEig | None = No
     """
     n, t = panel.values.shape
     if n < 16:
-        raise ValueError(f"N must be at least 16 for the double-log threshold, got {n}")
+        raise InvalidArgumentError(f"N must be at least 16 for the double-log threshold, got {n}")
     eig = _prep(panel, rmax, eig)
     sigma2 = float(residual_variances(panel, eig, rmax)[-1])
     notes = []
@@ -105,7 +106,7 @@ def select_r_ed(panel: Panel, rmax: int = DEFAULT_RMAX, eig: SymEig | None = Non
     """
     n, t = panel.values.shape
     if rmax + 5 > min(n, t):
-        raise ValueError(f"need rmax + 5 <= min(N, T); got rmax={rmax}, min={min(n, t)}")
+        raise InvalidArgumentError(f"need rmax + 5 <= min(N, T); got rmax={rmax}, min={min(n, t)}")
     eig = _prep(panel, rmax, eig)
     # eigenvalues of XX'/T equal N times those of X'X/(NT) on the shared spectrum
     gamma = n * eig.values
@@ -139,7 +140,7 @@ def select_r_ah(panel: Panel, rmax: int = DEFAULT_RMAX, eig: SymEig | None = Non
     """Eigenvalue-ratio rule: argmax of ``mu_k / mu_{k+1}`` over k = 1..rmax."""
     n, t = panel.values.shape
     if rmax + 1 > min(n, t):
-        raise ValueError(f"need rmax + 1 <= min(N, T); got rmax={rmax}, min={min(n, t)}")
+        raise InvalidArgumentError(f"need rmax + 1 <= min(N, T); got rmax={rmax}, min={min(n, t)}")
     eig = _prep(panel, rmax, eig)
     mu = eig.values
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -161,7 +162,7 @@ def select_r(panel: Panel, methods, rmax: int = DEFAULT_RMAX) -> dict[str, Facto
     """Run several selection rules on one shared decomposition."""
     unknown = [m for m in methods if m not in SELECTORS]
     if unknown:
-        raise ValueError(f"unknown factor-count methods {unknown}; choose from {sorted(SELECTORS)}")
+        raise InvalidArgumentError(f"unknown factor-count methods {unknown}; choose from {sorted(SELECTORS)}")
     eig = eig_sym_desc(gram(panel))
     return {m: SELECTORS[m](panel, rmax=rmax, eig=eig) for m in methods}
 

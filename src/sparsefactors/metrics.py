@@ -9,22 +9,25 @@ columns (eigenvalue order) with true columns (strength order) by rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
+
+from .errors import InvalidArgumentError
 
 
 def _trace_stat(a0: np.ndarray, a_hat: np.ndarray) -> float:
     a0 = np.asarray(a0, dtype=float)
     a_hat = np.asarray(a_hat, dtype=float)
     if a0.shape[0] != a_hat.shape[0]:
-        raise ValueError(f"row dimensions differ: {a0.shape[0]} vs {a_hat.shape[0]}")
+        raise InvalidArgumentError(f"row dimensions differ: {a0.shape[0]} vs {a_hat.shape[0]}")
     gram_hat = a_hat.T @ a_hat
     cross = a_hat.T @ a0
     try:
         sol = np.linalg.solve(gram_hat, cross)
     except np.linalg.LinAlgError as exc:
-        raise ValueError("estimated matrix has singular Gram; trace statistic undefined") from exc
+        raise InvalidArgumentError(
+            "estimated matrix has singular Gram; trace statistic undefined") from exc
     return float(np.trace(cross.T @ sol) / np.trace(a0.T @ a0))
 
 
@@ -47,7 +50,7 @@ def rmse_c(c0: np.ndarray, c_hat: np.ndarray) -> float:
     c0 = np.asarray(c0, dtype=float)
     c_hat = np.asarray(c_hat, dtype=float)
     if c0.shape != c_hat.shape:
-        raise ValueError(f"shape mismatch: {c0.shape} vs {c_hat.shape}")
+        raise InvalidArgumentError(f"shape mismatch: {c0.shape} vs {c_hat.shape}")
     return float(np.sqrt(np.mean((c_hat - c0) ** 2)))
 
 
@@ -68,7 +71,7 @@ def fdr_power(true_support, est_support) -> tuple[float, float]:
 def pooled_fdr_power(true_supports, est_supports, n: int) -> tuple[float, float]:
     """Overall FDP/recall pooling all factors' (unit, factor) loading cells."""
     if len(true_supports) != len(est_supports):
-        raise ValueError("need one estimated support per true support")
+        raise InvalidArgumentError("need one estimated support per true support")
     s = {(k, i) for k, sup in enumerate(true_supports) for i in sup}
     sh = {(k, i) for k, sup in enumerate(est_supports) for i in sup}
     fdp = len(sh - s) / max(len(sh), 1)
@@ -87,7 +90,7 @@ def rotation_q(f_hat: np.ndarray, f0: np.ndarray, alpha=None) -> tuple[np.ndarra
     f_hat = np.asarray(f_hat, dtype=float)
     f0 = np.asarray(f0, dtype=float)
     if f_hat.shape[0] != f0.shape[0]:
-        raise ValueError("factor matrices must share the time dimension")
+        raise InvalidArgumentError("factor matrices must share the time dimension")
     t = f_hat.shape[0]
     q = f_hat.T @ f0 / t
     lower = {
@@ -136,26 +139,9 @@ class MetricsReport:
     aggregates: dict
 
     def to_json(self) -> dict:
-        per_rep = []
-        for rec in self.per_rep:
-            per_rep.append(
-                {
-                    "rep": rec.rep,
-                    "r_hat": rec.r_hat,
-                    "tr_f": rec.tr_f,
-                    "tr_lambda": rec.tr_lambda,
-                    "rmse_c": rec.rmse_c,
-                    "fdr": list(rec.fdr) if rec.fdr is not None else None,
-                    "power": list(rec.power) if rec.power is not None else None,
-                    "fdr_overall": rec.fdr_overall,
-                    "power_overall": rec.power_overall,
-                    "alpha_hat": list(rec.alpha_hat) if rec.alpha_hat is not None else None,
-                    "sym_diff": list(rec.sym_diff) if rec.sym_diff is not None else None,
-                    "eigvals": list(rec.eigvals) if rec.eigvals is not None else None,
-                    "q_min_sv": rec.q_min_sv,
-                    "error": rec.error,
-                }
-            )
+        # q_lower_abs has tuple keys (not JSON); aggregates["median_q_lower_abs"] summarizes it
+        per_rep = [{k: v for k, v in asdict(rec).items() if k != "q_lower_abs"}
+                   for rec in self.per_rep]
         return {"config": self.config, "aggregates": self.aggregates, "per_rep": per_rep}
 
 

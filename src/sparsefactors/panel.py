@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -31,14 +32,12 @@ import numpy as np
 from .errors import (
     DegenerateSeriesError,
     InsufficientSampleError,
+    InvalidArgumentError,
     PanelParseError,
     TransformError,
 )
 
 VALID_TCODES = (1, 2, 3, 4, 5, 6, 7)
-
-# order of differencing implied by each code; trimming drops this many leading points
-TCODE_DIFF_ORDER = {1: 0, 2: 1, 3: 2, 4: 0, 5: 1, 6: 2, 7: 2}
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -78,16 +77,16 @@ class Panel:
         if self.group_ids is not None:
             object.__setattr__(self, "group_ids", tuple(int(g) for g in self.group_ids))
         if self.values.ndim != 2:
-            raise ValueError("Panel values must be a 2-d matrix")
+            raise InvalidArgumentError("Panel values must be a 2-d matrix")
         n, t = self.values.shape
         if len(self.series_ids) != n:
-            raise ValueError(f"{len(self.series_ids)} series labels for {n} rows")
+            raise InvalidArgumentError(f"{len(self.series_ids)} series labels for {n} rows")
         if len(self.time_ids) != t:
-            raise ValueError(f"{len(self.time_ids)} time labels for {t} columns")
+            raise InvalidArgumentError(f"{len(self.time_ids)} time labels for {t} columns")
         if self.group_ids is not None and len(self.group_ids) != n:
-            raise ValueError(f"{len(self.group_ids)} group ids for {n} rows")
+            raise InvalidArgumentError(f"{len(self.group_ids)} group ids for {n} rows")
         if not np.all(np.isfinite(self.values)):
-            raise ValueError("Panel values must be finite (no missing entries)")
+            raise InvalidArgumentError("Panel values must be finite (no missing entries)")
 
     @property
     def n_series(self) -> int:
@@ -112,14 +111,12 @@ class DropReport:
 
 
 def _parse_cell(text: str) -> float:
-    """Parse one CSV cell; empty or unparseable cells become NaN."""
-    text = text.strip()
-    if not text:
-        return np.nan
+    """Parse one CSV cell; empty, unparseable or non-finite cells become NaN."""
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         return np.nan
+    return value if math.isfinite(value) else np.nan
 
 
 def ingest_csv(source, orientation: str = "series_in_rows") -> tuple[Panel, DropReport]:
@@ -143,12 +140,16 @@ def ingest_csv(source, orientation: str = "series_in_rows") -> tuple[Panel, Drop
     Raises
     ------
     PanelParseError
-        Empty file, duplicate series labels, or fewer than 2 time points.
+        Text that is not UTF-8 or not CSV, an empty file, duplicate series
+        labels, or fewer than 2 time points.
     """
     if orientation not in ("series_in_rows", "series_in_columns"):
-        raise ValueError(f"unknown orientation {orientation!r}")
-    text = _as_text(source)
-    rows = [row for row in csv.reader(io.StringIO(text)) if row and any(c.strip() for c in row)]
+        raise InvalidArgumentError(f"unknown orientation {orientation!r}")
+    reader = csv.reader(io.StringIO(_as_text(source)))
+    try:
+        rows = [row for row in reader if row and any(c.strip() for c in row)]
+    except csv.Error as exc:
+        raise PanelParseError(f"malformed CSV: {exc}", location=f"line {reader.line_num}") from None
     if not rows:
         raise PanelParseError("empty file")
     if orientation == "series_in_columns":
@@ -182,13 +183,13 @@ def ingest_csv(source, orientation: str = "series_in_rows") -> tuple[Panel, Drop
             cells = cells + [""] * (len(time_ids) - len(cells))
         vals = np.array([_parse_cell(c) for c in cells[: len(time_ids)]])
         if np.isnan(vals).any():
-            report.add(name, "missing or unparseable observations")
+            report.add(name, "missing, unparseable or non-finite observations")
             continue
         names.append(name)
         if has_group:
             try:
                 groups.append(int(float(row[1])))
-            except ValueError:
+            except (ValueError, OverflowError):
                 raise PanelParseError(
                     f"group id {row[1]!r} is not an integer", location=f"row {i + 2}"
                 ) from None
@@ -206,15 +207,17 @@ def ingest_csv(source, orientation: str = "series_in_rows") -> tuple[Panel, Drop
 
 
 def _as_text(source) -> str:
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
+    if hasattr(source, "read"):
+        source = source.read()
+    elif not isinstance(source, (bytes, str)):
+        with open(source, "rb") as fh:
+            source = fh.read()
     if isinstance(source, str):
         return source
-    if hasattr(source, "read"):
-        raw = source.read()
-        return raw.decode("utf-8") if isinstance(raw, bytes) else raw
-    with open(source, "rb") as fh:
-        return fh.read().decode("utf-8")
+    try:
+        return source.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise PanelParseError("not UTF-8 text", location=f"byte {exc.start}") from None
 
 
 def export_csv(panel: Panel) -> str:
@@ -224,16 +227,16 @@ def export_csv(panel: Panel) -> str:
     bit-exactly through ``ingest_csv``.
     """
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    has_group = panel.group_ids is not None
-    header = ["series"] + (["group"] if has_group else []) + list(panel.time_ids)
-    writer.writerow(header)
+    plain = csv.writer(buf, lineterminator="\n")
+    # csv quotes only the characters of its line terminator: a row holding "\r" needs QUOTE_ALL
+    quoted = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    groups = panel.group_ids
+    rows = [["series"] + (["group"] if groups is not None else []) + list(panel.time_ids)]
     for i, name in enumerate(panel.series_ids):
-        row = [name]
-        if has_group:
-            row.append(str(panel.group_ids[i]))
-        row.extend(repr(float(v)) for v in panel.values[i])
-        writer.writerow(row)
+        rows.append([name] + ([str(groups[i])] if groups is not None else [])
+                    + [repr(float(v)) for v in panel.values[i]])
+    for row in rows:
+        (quoted if any("\r" in cell for cell in row) else plain).writerow(row)
     return buf.getvalue()
 
 
@@ -248,16 +251,16 @@ def apply_tcode(series, code: int) -> np.ndarray:
     ------
     TransformError
         Nonpositive value under a log-based code (4-7), naming the index.
-    ValueError
+    InvalidArgumentError
         Unknown code or series shorter than 3 observations.
     """
     if code not in VALID_TCODES:
-        raise ValueError(f"transformation code must be in 1..7, got {code}")
+        raise InvalidArgumentError(f"transformation code must be in 1..7, got {code}")
     x = np.asarray(series, dtype=float)
     if x.ndim != 1:
-        raise ValueError("apply_tcode expects a 1-d series")
+        raise InvalidArgumentError("apply_tcode expects a 1-d series")
     if x.size < 3:
-        raise ValueError(f"series too short for transformation (length {x.size} < 3)")
+        raise InvalidArgumentError(f"series too short for transformation (length {x.size} < 3)")
     if code in (4, 5, 6, 7):
         bad = np.nonzero(x <= 0)[0]
         if bad.size:
@@ -297,7 +300,7 @@ def align_and_trim(panel: Panel, codes) -> Panel:
     """
     codes = list(codes)
     if len(codes) != panel.n_series:
-        raise ValueError(f"{len(codes)} codes for {panel.n_series} series")
+        raise InvalidArgumentError(f"{len(codes)} codes for {panel.n_series} series")
     t_out = panel.n_periods - 2
     if t_out < 10:
         raise InsufficientSampleError(

@@ -20,6 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import InvalidArgumentError
 from .panel import Panel
 
 
@@ -93,9 +94,9 @@ def eig_sym_desc(matrix: np.ndarray) -> SymEig:
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("expected a square matrix")
+        raise InvalidArgumentError("expected a square matrix")
     if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
+        raise InvalidArgumentError("matrix entries must be finite")
     vals, vecs = np.linalg.eigh(m)
     vals = vals[::-1].copy()
     vecs = vecs[:, ::-1].copy()
@@ -127,7 +128,7 @@ def pc_fit(panel: Panel, r: int, eig: SymEig | None = None) -> PcFit:
     x = panel.values
     n, t = x.shape
     if not 1 <= r <= min(n, t):
-        raise ValueError(f"r must be in [1, {min(n, t)}], got {r}")
+        raise InvalidArgumentError(f"r must be in [1, {min(n, t)}], got {r}")
     if not panel.standardized:
         warnings.warn(
             "pc_fit called on a non-standardized panel", StandardizationWarning, stacklevel=2
@@ -152,7 +153,7 @@ def residual_variances(panel: Panel, eig: SymEig, kmax: int) -> np.ndarray:
     roundoff when X has rank at most k.
     """
     if not 1 <= kmax <= len(eig.values):
-        raise ValueError(f"kmax must be in [1, {len(eig.values)}], got {kmax}")
+        raise InvalidArgumentError(f"kmax must be in [1, {len(eig.values)}], got {kmax}")
     total = float(np.mean(panel.values**2))
     return np.maximum(total - np.cumsum(eig.values[:kmax]), 0.0)
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidArgumentError
 from .factor_count import DEFAULT_RMAX, SELECTORS
 from .panel import Panel, standardize
 from .pca import eig_sym_desc, gram, pc_fit
@@ -74,13 +75,13 @@ def rolling_analysis(
     windows with no detected factor are flagged.
     """
     if window > panel.n_periods:
-        raise ValueError(f"window {window} exceeds panel length {panel.n_periods}")
+        raise InvalidArgumentError(f"window {window} exceeds panel length {panel.n_periods}")
     if window < 10:
-        raise ValueError(f"window must be at least 10 periods, got {window}")
+        raise InvalidArgumentError(f"window must be at least 10 periods, got {window}")
     methods = tuple(dict.fromkeys(tuple(methods) + ("wz",)))  # ensure wz, keep order
     unknown = [m for m in methods if m not in SELECTORS]
     if unknown:
-        raise ValueError(f"unknown methods {unknown}")
+        raise InvalidArgumentError(f"unknown methods {unknown}")
     thr = threshold_value(panel.n_series, window, c_multiplier)  # every window is N x window
     endpoints, notes, strengths_out = [], [], []
     r_series: dict = {m: [] for m in methods}
@@ -151,9 +152,9 @@ def subperiod_heatmap(
             lo = panel.time_ids.index(time_range[0])
             hi = panel.time_ids.index(time_range[1])
         except ValueError as exc:
-            raise ValueError(f"time label not in panel: {exc}") from exc
+            raise InvalidArgumentError(f"time label not in panel: {exc}") from exc
         if lo > hi:
-            raise ValueError(f"empty time range {time_range}")
+            raise InvalidArgumentError(f"empty time range {time_range}")
     sub = Panel(
         values=panel.values[:, lo : hi + 1],
         series_ids=panel.series_ids,
@@ -161,6 +162,9 @@ def subperiod_heatmap(
         group_ids=panel.group_ids,
     )
     sub = standardize(sub)
+    limit = min(sub.n_series, sub.n_periods)
+    if r is not None and not 1 <= r <= limit:  # only an SVT-selected count may be 0
+        raise InvalidArgumentError(f"r must be in [1, {limit}], got {r}")
     thr = threshold_value(sub.n_series, sub.n_periods, c_multiplier)
     eig = eig_sym_desc(gram(sub))
     if r is None:

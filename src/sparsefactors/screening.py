@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidArgumentError
 from .pca import PcFit
 
 STRONG_CUTOFF = 0.95
@@ -52,21 +53,21 @@ def threshold_value(n: int, t: int, c: float = 1.0) -> float:
 
     Raises
     ------
-    ValueError
+    InvalidArgumentError
         If ``N*T <= 2`` (the log <= 1 region) or ``c <= 0``.
     """
     if c <= 0:
-        raise ValueError(f"c must be positive, got {c}")
+        raise InvalidArgumentError(f"c must be positive, got {c}")
     nt = n * t
     if nt <= 2:
-        raise ValueError(f"N*T must be at least 3, got {nt}")
+        raise InvalidArgumentError(f"N*T must be at least 3, got {nt}")
     return c / math.sqrt(math.log(nt))
 
 
 def screen(fit: PcFit, threshold: float) -> SparseFit:
     """Hard-threshold each loading entry; strict inequality keeps an entry."""
     if threshold <= 0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
+        raise InvalidArgumentError(f"threshold must be positive, got {threshold}")
     lam = fit.loadings
     keep = np.abs(lam) > threshold
     lambda_hat = np.where(keep, lam, 0.0)
@@ -95,7 +96,7 @@ def strengths(sparse: SparseFit, n: int) -> StrengthEstimate:
     empty.
     """
     if n < 2:
-        raise ValueError(f"N must be at least 2, got {n}")
+        raise InvalidArgumentError(f"N must be at least 2, got {n}")
     logn = math.log(n)
     alphas, labels = [], []
     for d in sparse.counts:
@@ -108,7 +109,7 @@ def strengths(sparse: SparseFit, n: int) -> StrengthEstimate:
 def symm_diff_ratio(true_support, est_support, alpha: float, n: int) -> float:
     """Size of the symmetric difference between supports, scaled by ``N^alpha``."""
     if not 0 < alpha <= 1:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+        raise InvalidArgumentError(f"alpha must lie in (0, 1], got {alpha}")
     a, b = frozenset(true_support), frozenset(est_support)
     return len(a ^ b) / n**alpha
 

@@ -24,6 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import metrics as met
+from .errors import InvalidArgumentError
 from .factor_count import SELECTORS
 from .panel import Panel, standardize as _standardize_panel
 from .pca import StandardizationWarning, eig_sym_desc, gram, pc_fit
@@ -62,18 +63,20 @@ class SimConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
+        if self.N < 4:  # gen_errors' minimum; a negative N would make N**alpha complex below
+            raise InvalidArgumentError(f"N must be at least 4, got {self.N}")
         if len(self.alpha) != self.r:
-            raise ValueError(f"alpha has {len(self.alpha)} entries for r = {self.r}")
+            raise InvalidArgumentError(f"alpha has {len(self.alpha)} entries for r = {self.r}")
         if any(a2 > a1 for a1, a2 in zip(self.alpha, self.alpha[1:])):
-            raise ValueError("alpha must be nonincreasing")
+            raise InvalidArgumentError("alpha must be nonincreasing")
         if any(not 0.5 < a <= 1.0 for a in self.alpha):
-            raise ValueError("every alpha must lie in (0.5, 1]")
+            raise InvalidArgumentError("every alpha must lie in (0.5, 1]")
         if any(int(self.N**a) < 1 for a in self.alpha):
-            raise ValueError("floor(N^alpha_k) must be at least 1")
+            raise InvalidArgumentError("floor(N^alpha_k) must be at least 1")
         if (self.support_mode == "contiguous") != (self.contiguous_ranges is not None):
-            raise ValueError("contiguous_ranges must be given exactly when support_mode='contiguous'")
+            raise InvalidArgumentError("contiguous_ranges must be given exactly when support_mode='contiguous'")
         if self.burn_in < 50:
-            raise ValueError(f"burn_in must be at least 50, got {self.burn_in}")
+            raise InvalidArgumentError(f"burn_in must be at least 50, got {self.burn_in}")
 
     def to_dict(self) -> dict:
         return {
@@ -145,7 +148,7 @@ def support_size(n: int, alpha: float) -> int:
 def gen_factors(t: int, r: int, seed, burn_in: int = 100) -> np.ndarray:
     """T x r factor paths: AR(1) leader plus correlated followers."""
     if burn_in < 50:
-        raise ValueError(f"burn_in must be at least 50, got {burn_in}")
+        raise InvalidArgumentError(f"burn_in must be at least 50, got {burn_in}")
     rng = seed if isinstance(seed, np.random.Generator) else _rng(seed)
     total = burn_in + t
     innov = rng.standard_normal(total)
@@ -179,7 +182,7 @@ def gen_loadings(n: int, alpha, seed, support_mode: str = "random", ranges=None)
             start, stop = ranges[k]
             idx = np.arange(start, stop)
             if idx.size != m:
-                raise ValueError(
+                raise InvalidArgumentError(
                     f"contiguous range {ranges[k]} has {idx.size} units, expected {m}"
                 )
         else:
@@ -203,7 +206,7 @@ def gen_errors(n: int, t: int, seed):
     from the correlated-block lottery.
     """
     if n < 4:
-        raise ValueError(f"N must be at least 4, got {n}")
+        raise InvalidArgumentError(f"N must be at least 4, got {n}")
     rng = seed if isinstance(seed, np.random.Generator) else _rng(seed)
     n_full = n // 4
     n_corr = int(math.floor(n**0.3))
@@ -331,17 +334,17 @@ def run_replications(
     ``(config.seed, i)``, so the report is identical for any worker count.
     """
     if R < 1:
-        raise ValueError(f"R must be positive, got {R}")
+        raise InvalidArgumentError(f"R must be positive, got {R}")
     if rmax < 1:
-        raise ValueError(f"rmax must be positive, got {rmax}")
+        raise InvalidArgumentError(f"rmax must be positive, got {rmax}")
     if c_multiplier <= 0:
-        raise ValueError(f"c must be positive, got {c_multiplier}")
+        raise InvalidArgumentError(f"c must be positive, got {c_multiplier}")
     if workers < 1:
-        raise ValueError(f"workers must be positive, got {workers}")
+        raise InvalidArgumentError(f"workers must be positive, got {workers}")
     tasks = frozenset(tasks)
     unknown = tasks - ALL_TASKS
     if unknown:
-        raise ValueError(f"unknown tasks {sorted(unknown)}; choose from {sorted(ALL_TASKS)}")
+        raise InvalidArgumentError(f"unknown tasks {sorted(unknown)}; choose from {sorted(ALL_TASKS)}")
     arglist = [(config.to_dict(), i, tasks, rmax, c_multiplier) for i in range(R)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -1,11 +1,15 @@
 import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sparsefactors import SimConfig, export_csv, simulate_panel
 from sparsefactors.cli import run_cli
+
+DATA = Path(__file__).parent / "data"
 
 
 def write_panel_csv(path, n=40, t=60, seed=0):
@@ -216,12 +220,75 @@ SIM = ["simulate", "--N", "36", "--T", "36", "--r", "2", "--alpha", "0.9,0.7",
         (["rolling", "--window", "30", "--rmax", "0"], 1, "rmax must be in [1, 30], got 0"),
         (["rolling", "--window", "30", "--c", "0"], 1, "c must be positive, got 0"),
         (["heatmap", "--r", "2", "--c", "0"], 1, "c must be positive, got 0"),
+        (["select-r", "--data", str(DATA / "latin1_panel.csv")], 1,
+         "latin1_panel.csv is not UTF-8 text (byte 14)"),
+        (["select-r", "--data", str(DATA)], 1, "data: Is a directory"),
+        (["select-r", "--tcodes", str(DATA / "tcodes_not_integer.csv")], 1,
+         "tcodes_not_integer.csv, row 2: 'x'"),
+        (["select-r", "--tcodes", str(DATA / "tcodes_out_of_range.csv")], 1,
+         "tcodes_out_of_range.csv, row 2: code 9 is not in 1..7"),
+        (["select-r", "--tcodes", str(DATA / "tcodes_no_code.csv")], 1,
+         "tcodes_no_code.csv, row 2: no transformation code"),
+        (["heatmap", "--r", "0"], 1, "r must be in [1, 40], got 0"),
+        (["strengths", "--r", "0"], 1, "r must be in [1, 40], got 0"),
+        (SIM + ["--alpha", "0.9,x"], 1, "invalid value for alpha: '0.9,x'"),
+        (SIM + ["--N", "-5"], 1, "N must be at least 4, got -5"),
+        (["simulate", "--config", str(DATA / "config_list.json")], 1,
+         "config_list.json must hold a JSON object, not list"),
+        (["simulate", "--config", str(DATA / "config_scalar_alpha.json")], 1,
+         "invalid value for alpha: 0.9"),
     ],
 )
 def test_explicit_values_are_never_replaced_by_defaults(tmp_path, capsys, argv, code, fragment):
-    if argv[0] != "simulate":
+    if argv[0] != "simulate" and "--data" not in argv:
         argv = argv + ["--data", str(write_panel_csv(tmp_path / "panel.csv"))]
     assert run_cli(argv + ["--out", str(tmp_path / "o")]) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert fragment in err
+
+
+def test_non_finite_cell_drops_the_series(tmp_path, capsys):
+    data = write_panel_csv(tmp_path / "panel.csv")
+    lines = data.read_text().splitlines()
+    cells = lines[4].split(",")
+    cells[7] = "inf"
+    lines[4] = ",".join(cells)
+    data.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "o"
+    assert run_cli(["select-r", "--data", str(data), "--rmax", "4", "--out", str(out)]) == 0
+    assert f"dropped series {cells[0]}: " in capsys.readouterr().err
+
+
+def test_unwritable_output_directory_exits_one(tmp_path, capsys):
+    data = write_panel_csv(tmp_path / "panel.csv")
+    assert run_cli(["select-r", "--data", str(data), "--rmax", "4", "--out", str(data)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write output directory {data}")
+
+
+def _fuzz_bytes():
+    """Arbitrary bytes, mixed with byte strings built from CSV-shaped tokens."""
+    st = pytest.importorskip("hypothesis.strategies")
+    tokens = [b",", b"\n", b"\r", b'"', b" ", b"series", b"code", b"group", b"s0", b"s1", b"t1",
+              b"0", b"1", b"5", b"9", b"x", b"-2.5", b"1e308", b"1e999", b"inf", b"nan",
+              b"\x00", b"\xff", b"\xc3\xa9"]
+    return st.binary(max_size=400) | st.lists(st.sampled_from(tokens), max_size=120).map(b"".join)
+
+
+@pytest.mark.parametrize("flag", ["--data", "--tcodes"])
+def test_arbitrary_input_bytes_never_exit_two(flag):
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(_fuzz_bytes())
+    def check(payload):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            data = tmp / "fuzz.bin" if flag == "--data" else write_panel_csv(tmp / "panel.csv")
+            argv = ["select-r", "--data", str(data), "--out", str(tmp / "o")]
+            if flag == "--tcodes":
+                argv += ["--tcodes", str(tmp / "fuzz.bin")]
+            (tmp / "fuzz.bin").write_bytes(payload)
+            assert run_cli(argv) in (0, 1)
+
+    check()

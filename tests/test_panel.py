@@ -7,7 +7,9 @@ import pytest
 from sparsefactors import (
     DegenerateSeriesError,
     InsufficientSampleError,
+    InvalidArgumentError,
     Panel,
+    SparseFactorsError,
     PanelParseError,
     TransformError,
     align_and_trim,
@@ -77,10 +79,51 @@ class TestIngest:
         assert panel.time_ids == ("t0", "t1", "t2")
         assert np.array_equal(panel.values, np.array([[1.0, 2.0, 3.0], [10.0, 20.0, 30.0]]))
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "1e999", "nan"])
+    def test_non_finite_cells_drop_the_series(self, cell):
+        text = "series,t0,t1,t2\na,1.0,2.0,3.0\nb,4.0,%s,6.0\n" % cell
+        panel, report = ingest_csv(text)
+        assert panel.series_ids == ("a",)
+        assert [name for name, _ in report.dropped] == ["b"]
+
+    def test_non_utf8_bytes_raise_parse_error(self):
+        with pytest.raises(PanelParseError, match=r"not UTF-8 text \(at byte 14\)"):
+            ingest_csv("series,t0,t1\nSérie,1.0,2.0\n".encode("latin-1"))
+
+    def test_malformed_csv_raises_parse_error(self):
+        with pytest.raises(PanelParseError, match=r"malformed CSV.*\(at line 2\)"):
+            ingest_csv("series,t0,t1\na,1.0\r2.0,3.0\n")
+
+    def test_overflowing_group_id_raises_parse_error(self):
+        with pytest.raises(PanelParseError, match="group id 'inf' is not an integer"):
+            ingest_csv("series,group,t0,t1\na,inf,1.0,2.0\n")
+
     def test_byte_stream_input(self):
         text = make_csv(["a", "b"], [[1.0, 2.0], [3.0, 4.0]])
         panel, _ = ingest_csv(io.BytesIO(text.encode()))
         assert panel.n_series == 2
+
+    def test_round_trip_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        label = st.text(st.characters(codec="utf-8", exclude_categories=("Cs",)), min_size=1,
+                        max_size=8).filter(lambda s: s == s.strip() and s.lower() != "group")
+
+        @hypothesis.settings(max_examples=100, deadline=None, database=None)
+        @hypothesis.given(st.data())
+        def check(data):
+            n, t = data.draw(st.integers(1, 5)), data.draw(st.integers(2, 6))
+            names = data.draw(st.lists(label, min_size=n, max_size=n, unique=True))
+            times = data.draw(st.lists(label, min_size=t, max_size=t))
+            vals = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                      min_size=n * t, max_size=n * t))
+            panel = Panel(np.reshape(vals, (n, t)), names, times)
+            again, report = ingest_csv(export_csv(panel))
+            assert len(report) == 0
+            assert np.array_equal(again.values, panel.values)
+            assert (again.series_ids, again.time_ids) == (panel.series_ids, panel.time_ids)
+
+        check()
 
     def test_round_trip_is_bit_exact(self):
         rng = np.random.default_rng(3)
@@ -93,6 +136,12 @@ class TestIngest:
 
 
 class TestTransformCodes:
+    def test_unknown_code_is_an_invalid_argument(self):
+        with pytest.raises(InvalidArgumentError, match="must be in 1..7, got 9") as info:
+            apply_tcode([1.0, 2.0, 3.0], 9)
+        assert isinstance(info.value, SparseFactorsError)
+        assert isinstance(info.value, ValueError)
+
     def test_code1_is_identity(self):
         x = np.array([2.0, 5.0, 3.0, 8.0])
         assert np.array_equal(apply_tcode(x, 1), x)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sparsefactors import (
+    InvalidArgumentError,
     Panel,
     SimConfig,
     heatmap_to_csv,
@@ -125,6 +126,12 @@ class TestSubperiodHeatmap:
         assert export.values.shape[0] == 40
         with pytest.raises(ValueError, match="not in panel"):
             subperiod_heatmap(panel, time_range=("nope", "t045"), rmax=4)
+
+    @pytest.mark.parametrize("r", [0, 41])
+    def test_explicit_r_out_of_range_rejected(self, r):
+        panel, _ = sim_panel(40, 60, seed=13)
+        with pytest.raises(InvalidArgumentError, match=rf"r must be in \[1, 40\], got {r}"):
+            subperiod_heatmap(panel, rmax=4, r=r)
 
     def test_all_zero_screening_exports_zeros(self):
         # pure noise, seed chosen so every top-PC loading sits under the threshold
