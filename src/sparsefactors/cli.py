@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import os
 import secrets
 import sys
 import time
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,7 @@ from .factor_count import DEFAULT_RMAX, diagnostics_json, select_r, select_r_svt
 from .panel import VALID_TCODES, align_and_trim, ingest_csv, standardize
 from .pca import eig_sym_desc, export_pc_fit, gram, pc_fit
 from .rolling import heatmap_to_csv, rolling_analysis, rolling_to_csv, subperiod_heatmap
-from .screening import screen, sparse_summary, threshold_value
+from .screening import DEFAULT_C, screen, sparse_summary, threshold_value
 from .simulate import ALL_TASKS, SimConfig, run_replications
 
 
@@ -105,41 +106,42 @@ def _convert(convert, value, what: str):
         raise InvalidArgumentError(f"invalid {what}: {value!r}") from None
 
 
-# simulate's options: key -> (default, converter); a default of ... marks a required key.
-# The default fills only a key given neither as a flag nor in the config file, so an
-# explicit 0 is kept.
+# simulate's options: key -> converter of a flag or config-file value (None: passed on as
+# given, for SimConfig to check). A key given neither as a flag nor in the config file takes
+# its default (see _resolve), so an explicit 0 is kept.
 _SIMULATE_OPTIONS = {
-    "N": (..., int),
-    "T": (..., int),
-    "r": (..., int),
-    "alpha": (..., lambda v: tuple(float(a) for a in _items(v))),
-    "seed": (None, int),
-    "burn_in": (100, int),
-    "support_mode": ("random", str),
-    "contiguous_ranges": (None, lambda v: tuple(tuple(rg) for rg in v)),
-    "standardize": (False, bool),
-    "reps": (100, int),
-    "rmax": (DEFAULT_RMAX, int),
-    "c": (1.0, float),
-    "tasks": (sorted(ALL_TASKS), lambda v: sorted(_items(v))),
-    "workers": (1, int),
+    "N": int, "T": int, "r": int, "alpha": lambda v: tuple(float(a) for a in _items(v)),
+    "seed": int, "burn_in": int, "support_mode": None, "standardize": None,
+    "contiguous_ranges": lambda v: tuple(tuple(rg) for rg in v),
+    "reps": int, "rmax": int, "c": float, "tasks": lambda v: sorted(_items(v)), "workers": int,
 }
+# simulate's keys that are run_replications keywords, with the keyword each one fills
+_RUN_KEYWORDS = {"rmax": "rmax", "c": "c_multiplier", "tasks": "tasks", "workers": "workers"}
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    """Merge config-file values with flags (flags win) and convert each value."""
+    """Merge config-file values with flags (flags win), fill in defaults and convert each value.
+
+    The defaults are SimConfig's field defaults, run_replications' keyword defaults, and the
+    CLI's own: 100 replications and a seed drawn per run (None here).
+    """
     file_cfg = _load_config_file(args.config)
+    run = inspect.signature(run_replications).parameters
+    defaults = {**{f.name: f.default for f in fields(SimConfig) if f.default is not MISSING},
+                **{key: run[keyword].default for key, keyword in _RUN_KEYWORDS.items()},
+                "seed": None, "reps": 100}
     resolved = {}
-    for key, (default, convert) in _SIMULATE_OPTIONS.items():
+    for key, convert in _SIMULATE_OPTIONS.items():
         value = getattr(args, key, None)
         if value is None:
             value = file_cfg.get(key)
-        if value is not None:
-            resolved[key] = _convert(convert, value, f"value for {key}")
-        elif default is ...:
-            raise InvalidArgumentError(f"simulate requires {key} (flag or config file)")
-        else:
-            resolved[key] = default
+        if value is None:
+            if key not in defaults:
+                raise InvalidArgumentError(f"simulate requires {key} (flag or config file)")
+            value = defaults[key]
+        if value is not None and convert is not None:
+            value = _convert(convert, value, f"value for {key}")
+        resolved[key] = value
     return resolved
 
 
@@ -181,9 +183,8 @@ def _cmd_simulate(args) -> tuple[dict, dict]:
     if resolved["seed"] is None:
         resolved["seed"] = secrets.randbits(63)  # recorded in the manifest so the run is replayable
     config = SimConfig(**{f.name: resolved[f.name] for f in fields(SimConfig)})
-    report = run_replications(config, resolved["reps"], tasks=resolved["tasks"],
-                              rmax=resolved["rmax"], c_multiplier=resolved["c"],
-                              workers=resolved["workers"])
+    report = run_replications(config, resolved["reps"],
+                              **{kw: resolved[key] for key, kw in _RUN_KEYWORDS.items()})
     files = {"report.json": json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"}
     files.update(_report_tables(report, config))
     return files, resolved
@@ -310,7 +311,7 @@ def _add_data_flags(p) -> None:
                    choices=["series_in_rows", "series_in_columns"])
     p.add_argument("--tcodes", help="optional CSV of series,transform-code pairs")
     p.add_argument("--rmax", type=int, default=DEFAULT_RMAX)
-    p.add_argument("--c", type=float, default=1.0, help="screening threshold multiplier")
+    p.add_argument("--c", type=float, default=DEFAULT_C, help="screening threshold multiplier")
     p.add_argument("--out", default=".", help="output directory")
 
 
@@ -331,14 +332,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", help="comma-separated strengths, e.g. 0.9,0.75,0.6")
     p.add_argument("--seed", type=int)
     p.add_argument("--burn-in", dest="burn_in", type=int)
-    p.add_argument("--support-mode", dest="support_mode",
-                   choices=["random", "contiguous"])
+    p.add_argument("--support-mode", dest="support_mode")
     p.add_argument("--standardize", action="store_const", const=True, default=None)
     p.add_argument("--reps", type=int)
     p.add_argument("--rmax", type=int)
     p.add_argument("--c", type=float)
-    p.add_argument("--tasks", help="comma-separated subset of "
-                                   "wz,bn,ed,ah,fit,sparsity,rotation")
+    p.add_argument("--tasks", help="comma-separated subset of " + ",".join(sorted(ALL_TASKS)))
     p.add_argument("--workers", type=int)
     p.add_argument("--out", default=".")
     p.set_defaults(func=_cmd_simulate)

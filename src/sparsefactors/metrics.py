@@ -79,13 +79,11 @@ def pooled_fdr_power(true_supports, est_supports, n: int) -> tuple[float, float]
     return fdp, power
 
 
-def rotation_q(f_hat: np.ndarray, f0: np.ndarray, alpha=None) -> tuple[np.ndarray, dict]:
+def rotation_q(f_hat: np.ndarray, f0: np.ndarray) -> tuple[np.ndarray, dict]:
     """Alignment matrix ``Q = Fh' F0 / T`` with a triangularity summary.
 
-    When the true strength vector ``alpha`` is supplied, the summary scales
-    each strictly-lower entry as ``|Q_lk| * N^(alpha_k - alpha_l)``-free form:
-    it reports the raw ``|Q_lk|`` for l > k so trend checks across N can
-    apply their own scaling, plus the smallest singular value of Q.
+    The summary reports the raw ``|Q_lk|`` for l > k, so trend checks across
+    N can apply their own scaling, plus the smallest singular value of Q.
     """
     f_hat = np.asarray(f_hat, dtype=float)
     f0 = np.asarray(f0, dtype=float)
@@ -103,9 +101,6 @@ def rotation_q(f_hat: np.ndarray, f0: np.ndarray, alpha=None) -> tuple[np.ndarra
         "lower_abs": lower,
         "min_singular_value": float(np.linalg.svd(q, compute_uv=False)[-1]),
     }
-    if alpha is not None:
-        alpha = np.asarray(alpha, dtype=float)
-        summary["alpha"] = alpha.tolist()
     return q, summary
 
 

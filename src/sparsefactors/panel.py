@@ -325,14 +325,16 @@ def standardize(panel: Panel) -> Panel:
     Raises
     ------
     DegenerateSeriesError
-        If some series is constant, naming it.
+        If some series is constant, or its mean or variance overflows, naming it.
     """
     x = panel.values
-    mean = x.mean(axis=1, keepdims=True)
-    sd = x.std(axis=1, ddof=1, keepdims=True)
-    flat = np.nonzero(sd.ravel() == 0.0)[0]
-    if flat.size:
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = x.mean(axis=1, keepdims=True)
+        sd = x.std(axis=1, ddof=1, keepdims=True)
+    bad = np.nonzero(~((0.0 < sd) & (sd < np.inf)).ravel())[0]  # 0, inf, or NaN from an inf mean
+    if bad.size:
+        why = "is constant" if sd.flat[bad[0]] == 0.0 else "overflows in its mean or variance"
         raise DegenerateSeriesError(
-            f"series {panel.series_ids[flat[0]]!r} is constant and cannot be standardized"
+            f"series {panel.series_ids[bad[0]]!r} {why} and cannot be standardized"
         )
     return replace(panel, values=(x - mean) / sd, standardized=True)

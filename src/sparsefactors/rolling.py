@@ -18,7 +18,7 @@ from .errors import InvalidArgumentError
 from .factor_count import DEFAULT_RMAX, SELECTORS
 from .panel import Panel, standardize
 from .pca import eig_sym_desc, gram, pc_fit
-from .screening import screen, strengths, threshold_value
+from .screening import DEFAULT_C, screen, strengths, threshold_value
 
 HEATMAP_CENSOR = 3.0
 
@@ -65,7 +65,7 @@ def rolling_analysis(
     window: int = 120,
     methods=("wz", "bn", "ed"),
     rmax: int = DEFAULT_RMAX,
-    c_multiplier: float = 1.0,
+    c_multiplier: float = DEFAULT_C,
 ) -> RollingResult:
     """Estimate factor counts and strengths on every trailing window.
 
@@ -136,7 +136,7 @@ def subperiod_heatmap(
     time_range: tuple | None = None,
     rmax: int = DEFAULT_RMAX,
     r: int | None = None,
-    c_multiplier: float = 1.0,
+    c_multiplier: float = DEFAULT_C,
 ) -> HeatmapExport:
     """Screened-loading magnitudes on a subperiod, right-censored at 3.
 

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import InvalidArgumentError
 from .pca import PcFit
 
+DEFAULT_C = 1.0  # the threshold multiplier c used unless one is given
 STRONG_CUTOFF = 0.95
 WEAK_CUTOFF = 0.90
 
@@ -48,14 +49,16 @@ class StrengthEstimate:
     labels: tuple
 
 
-def threshold_value(n: int, t: int, c: float = 1.0) -> float:
+def threshold_value(n: int, t: int, c: float = DEFAULT_C) -> float:
     """Screening threshold ``c / sqrt(ln(NT))``.
 
     Raises
     ------
     InvalidArgumentError
-        If ``N*T <= 2`` (the log <= 1 region) or ``c <= 0``.
+        If ``N*T <= 2`` (the log <= 1 region) or ``c`` is not a positive finite number.
     """
+    if not math.isfinite(c):
+        raise InvalidArgumentError(f"c must be finite, got {c}")
     if c <= 0:
         raise InvalidArgumentError(f"c must be positive, got {c}")
     nt = n * t

@@ -18,33 +18,34 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from . import metrics as met
 from .errors import InvalidArgumentError
-from .factor_count import SELECTORS
+from .factor_count import DEFAULT_RMAX, SELECTORS
 from .panel import Panel, standardize as _standardize_panel
 from .pca import StandardizationWarning, eig_sym_desc, gram, pc_fit
-from .screening import screen, strengths, symm_diff_ratio, threshold_value
+from .screening import DEFAULT_C, screen, strengths, symm_diff_ratio, threshold_value
 
 _STREAM_FACTORS = 0
 _STREAM_LOADINGS = 1
 _STREAM_ERRORS = 2
 
-ALL_TASKS = frozenset({"wz", "bn", "ed", "ah", "fit", "sparsity", "rotation"})
+ALL_TASKS = frozenset(SELECTORS) | {"fit", "sparsity", "rotation"}
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Parameters of one simulated design.
+    """Parameters of one simulated design, checked on construction.
 
     ``alpha`` must be nonincreasing with every entry in (0.5, 1]. Supports
     are uniformly random unless ``support_mode="contiguous"``, in which case
     ``contiguous_ranges`` gives per-factor (start, stop) index ranges
     (half-open, 0-based) whose lengths must equal ``floor(N^alpha_k)``.
+    ``seed`` is a non-negative integer.
 
     ``standardize`` controls whether the simulated panel is standardized
     per series before estimation; the default (False) matches the scale on
@@ -65,48 +66,27 @@ class SimConfig:
         object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
         if self.N < 4:  # gen_errors' minimum; a negative N would make N**alpha complex below
             raise InvalidArgumentError(f"N must be at least 4, got {self.N}")
+        if self.r < 1:
+            raise InvalidArgumentError(f"r must be positive, got {self.r}")
         if len(self.alpha) != self.r:
             raise InvalidArgumentError(f"alpha has {len(self.alpha)} entries for r = {self.r}")
         if any(a2 > a1 for a1, a2 in zip(self.alpha, self.alpha[1:])):
             raise InvalidArgumentError("alpha must be nonincreasing")
         if any(not 0.5 < a <= 1.0 for a in self.alpha):
             raise InvalidArgumentError("every alpha must lie in (0.5, 1]")
-        if any(int(self.N**a) < 1 for a in self.alpha):
-            raise InvalidArgumentError("floor(N^alpha_k) must be at least 1")
-        if (self.support_mode == "contiguous") != (self.contiguous_ranges is not None):
-            raise InvalidArgumentError("contiguous_ranges must be given exactly when support_mode='contiguous'")
+        if self.seed < 0:
+            raise InvalidArgumentError(f"seed must be non-negative, got {self.seed}")
         if self.burn_in < 50:
             raise InvalidArgumentError(f"burn_in must be at least 50, got {self.burn_in}")
-
-    def to_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "T": self.T,
-            "r": self.r,
-            "alpha": list(self.alpha),
-            "seed": self.seed,
-            "burn_in": self.burn_in,
-            "support_mode": self.support_mode,
-            "contiguous_ranges": [list(rg) for rg in self.contiguous_ranges]
-            if self.contiguous_ranges
-            else None,
-            "standardize": self.standardize,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SimConfig":
-        ranges = d.get("contiguous_ranges")
-        return cls(
-            N=int(d["N"]),
-            T=int(d["T"]),
-            r=int(d["r"]),
-            alpha=tuple(d["alpha"]),
-            seed=int(d["seed"]),
-            burn_in=int(d.get("burn_in", 100)),
-            support_mode=d.get("support_mode", "random"),
-            contiguous_ranges=tuple(tuple(rg) for rg in ranges) if ranges else None,
-            standardize=bool(d.get("standardize", False)),
-        )
+        if not isinstance(self.standardize, bool):
+            raise InvalidArgumentError(f"standardize must be true or false, got {self.standardize!r}")
+        if self.support_mode not in ("random", "contiguous"):
+            raise InvalidArgumentError(
+                f"support_mode must be 'random' or 'contiguous', got {self.support_mode!r}")
+        if (self.support_mode == "contiguous") != (self.contiguous_ranges is not None):
+            raise InvalidArgumentError("contiguous_ranges must be given exactly when support_mode='contiguous'")
+        if self.contiguous_ranges is not None:
+            _check_ranges(self.N, self.alpha, self.contiguous_ranges)
 
 
 @dataclass(frozen=True)
@@ -145,11 +125,27 @@ def support_size(n: int, alpha: float) -> int:
     return int(math.floor(n**alpha))
 
 
-def gen_factors(t: int, r: int, seed, burn_in: int = 100) -> np.ndarray:
-    """T x r factor paths: AR(1) leader plus correlated followers."""
+def _check_ranges(n: int, alpha, ranges) -> None:
+    """Require one integer (start, stop) within [0, N] per factor, of length ``floor(N^alpha_k)``."""
+    if len(ranges) != len(alpha):
+        raise InvalidArgumentError(
+            f"contiguous_ranges has {len(ranges)} entries for {len(alpha)} factors")
+    for k, (a, rg) in enumerate(zip(alpha, ranges)):
+        m = support_size(n, a)
+        if not (len(rg) == 2 and all(isinstance(i, (int, np.integer)) for i in rg)
+                and 0 <= rg[0] and rg[1] <= n and rg[1] - rg[0] == m):
+            raise InvalidArgumentError(f"contiguous_ranges[{k}] must be integers (start, stop) "
+                                       f"within [0, {n}], expected {m} units, got {rg}")
+
+
+def gen_factors(t: int, r: int, seed, burn_in: int = SimConfig.burn_in) -> np.ndarray:
+    """T x r factor paths: AR(1) leader plus correlated followers.
+
+    ``seed`` is a tuple of non-negative integers, the entropy of the random stream.
+    """
     if burn_in < 50:
         raise InvalidArgumentError(f"burn_in must be at least 50, got {burn_in}")
-    rng = seed if isinstance(seed, np.random.Generator) else _rng(seed)
+    rng = _rng(seed)
     total = burn_in + t
     innov = rng.standard_normal(total)
     f1 = np.empty(total)
@@ -163,28 +159,26 @@ def gen_factors(t: int, r: int, seed, burn_in: int = 100) -> np.ndarray:
     return out
 
 
-def gen_loadings(n: int, alpha, seed, support_mode: str = "random", ranges=None):
+def gen_loadings(n: int, alpha, seed, support_mode: str = SimConfig.support_mode, ranges=None):
     """N x r sparse loading matrix plus the r true support sets.
 
     Each factor's support has exactly ``floor(N^alpha_k)`` units, drawn
     uniformly without replacement (independently across factors) or taken
     verbatim from ``ranges`` in contiguous mode; nonzero entries are iid
-    standard normal.
+    standard normal. ``seed`` is a tuple of non-negative integers, the
+    entropy of the random stream.
     """
     alpha = tuple(float(a) for a in alpha)
     r = len(alpha)
-    rng = seed if isinstance(seed, np.random.Generator) else _rng(seed)
+    if support_mode == "contiguous":
+        _check_ranges(n, alpha, ranges)
+    rng = _rng(seed)
     lam = np.zeros((n, r))
     supports = []
     for k, a in enumerate(alpha):
         m = support_size(n, a)
         if support_mode == "contiguous":
-            start, stop = ranges[k]
-            idx = np.arange(start, stop)
-            if idx.size != m:
-                raise InvalidArgumentError(
-                    f"contiguous range {ranges[k]} has {idx.size} units, expected {m}"
-                )
+            idx = np.arange(*ranges[k])
         else:
             idx = rng.choice(n, size=m, replace=False)
         lam[idx, k] = rng.standard_normal(m)
@@ -203,11 +197,12 @@ def gen_errors(n: int, t: int, seed):
     Innovations are Student-t(5) scaled by sqrt(3/5) to unit variance and
     mixed blockwise through the Cholesky factor of Sigma_e. When N is not a
     multiple of 4 the trailing remainder block is an identity and is excluded
-    from the correlated-block lottery.
+    from the correlated-block lottery. ``seed`` is a tuple of non-negative
+    integers, the entropy of the random stream.
     """
     if n < 4:
         raise InvalidArgumentError(f"N must be at least 4, got {n}")
-    rng = seed if isinstance(seed, np.random.Generator) else _rng(seed)
+    rng = _rng(seed)
     n_full = n // 4
     n_corr = int(math.floor(n**0.3))
     chosen = set(rng.choice(n_full, size=min(n_corr, n_full), replace=False).tolist())
@@ -267,25 +262,24 @@ def simulate_panel(config: SimConfig, rep: int = 0) -> tuple[Panel, SimTruth]:
 
 
 def _replicate(args) -> met.ReplicationRecord:
-    config_dict, rep, tasks, rmax, c_mult = args
-    config = SimConfig.from_dict(config_dict)
+    config, rep, tasks, rmax, threshold = args
     rec = met.ReplicationRecord(rep=rep)
     try:
         with warnings.catch_warnings():
             # raw-scale estimation is a deliberate choice here, not an oversight
             warnings.simplefilter("ignore", StandardizationWarning)
-            return _replicate_inner(config, rep, tasks, rmax, c_mult, rec)
+            return _replicate_inner(config, rep, tasks, rmax, threshold, rec)
     except Exception as exc:  # failures are per-replication cells, not batch aborts
         rec.error = f"{type(exc).__name__}: {exc}"
     return rec
 
 
-def _replicate_inner(config, rep, tasks, rmax, c_mult, rec) -> met.ReplicationRecord:
+def _replicate_inner(config, rep, tasks, rmax, threshold, rec) -> met.ReplicationRecord:
     panel, truth = simulate_panel(config, rep=rep)
     eig = eig_sym_desc(gram(panel))
-    for tag in ("wz", "bn", "ed", "ah"):
+    for tag, select in SELECTORS.items():
         if tag in tasks:
-            rec.r_hat[tag] = SELECTORS[tag](panel, rmax=rmax, eig=eig).r_hat
+            rec.r_hat[tag] = select(panel, rmax=rmax, eig=eig).r_hat
     if not tasks & {"fit", "sparsity", "rotation"}:
         return rec
     fit = pc_fit(panel, config.r, eig=eig)
@@ -296,7 +290,7 @@ def _replicate_inner(config, rep, tasks, rmax, c_mult, rec) -> met.ReplicationRe
         rec.rmse_c = met.rmse_c(c0_scaled, fit.common)
         rec.eigvals = tuple(float(v) for v in fit.eigvals)
     if "sparsity" in tasks:
-        sp = screen(fit, threshold_value(config.N, config.T, c_mult))
+        sp = screen(fit, threshold)
         rec.alpha_hat = strengths(sp, config.N).alpha_hat
         fdrs, powers, sds = [], [], []
         for k in range(config.r):
@@ -313,7 +307,7 @@ def _replicate_inner(config, rep, tasks, rmax, c_mult, rec) -> met.ReplicationRe
             truth.supports0, sp.supports, config.N
         )
     if "rotation" in tasks:
-        _, summary = met.rotation_q(fit.factors, truth.F0, alpha=config.alpha)
+        _, summary = met.rotation_q(fit.factors, truth.F0)
         rec.q_lower_abs = summary["lower_abs"]
         rec.q_min_sv = summary["min_singular_value"]
     return rec
@@ -323,29 +317,34 @@ def run_replications(
     config: SimConfig,
     R: int,
     tasks=ALL_TASKS,
-    rmax: int = 8,
-    c_multiplier: float = 1.0,
+    rmax: int = DEFAULT_RMAX,
+    c_multiplier: float = DEFAULT_C,
     workers: int = 1,
 ) -> met.MetricsReport:
     """Run R seeded replications of the requested estimators and aggregate.
 
-    ``tasks`` is a set drawn from {"wz", "bn", "ed", "ah", "fit", "sparsity",
-    "rotation"}. Replication i always uses streams derived from
+    ``tasks`` is a subset of :data:`ALL_TASKS`: the factor-count rules of
+    :data:`~sparsefactors.factor_count.SELECTORS` plus "fit", "sparsity" and
+    "rotation". Replication i always uses streams derived from
     ``(config.seed, i)``, so the report is identical for any worker count.
     """
     if R < 1:
         raise InvalidArgumentError(f"R must be positive, got {R}")
     if rmax < 1:
         raise InvalidArgumentError(f"rmax must be positive, got {rmax}")
-    if c_multiplier <= 0:
-        raise InvalidArgumentError(f"c must be positive, got {c_multiplier}")
     if workers < 1:
         raise InvalidArgumentError(f"workers must be positive, got {workers}")
     tasks = frozenset(tasks)
     unknown = tasks - ALL_TASKS
     if unknown:
         raise InvalidArgumentError(f"unknown tasks {sorted(unknown)}; choose from {sorted(ALL_TASKS)}")
-    arglist = [(config.to_dict(), i, tasks, rmax, c_multiplier) for i in range(R)]
+    n_min = min(config.N, config.T)  # the selectors read rmax eigenvalues, the fit r factors
+    if tasks & SELECTORS.keys() and rmax > n_min:
+        raise InvalidArgumentError(f"rmax must be at most min(N, T) = {n_min}, got {rmax}")
+    if tasks - SELECTORS.keys() and config.r > n_min:
+        raise InvalidArgumentError(f"r must be at most min(N, T) = {n_min}, got {config.r}")
+    threshold = threshold_value(config.N, config.T, c_multiplier)
+    arglist = [(config, i, tasks, rmax, threshold) for i in range(R)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_replicate, arglist, chunksize=max(1, R // (8 * workers))))
@@ -353,6 +352,6 @@ def run_replications(
         records = [_replicate(a) for a in arglist]
     records.sort(key=lambda rec: rec.rep)
     agg = met.aggregate(records, config.r, config.alpha)
-    report_config = config.to_dict()
-    report_config.update({"rmax": rmax, "c_multiplier": c_multiplier, "tasks": sorted(tasks)})
+    report_config = {**asdict(config), "rmax": rmax, "c_multiplier": c_multiplier,
+                     "tasks": sorted(tasks)}
     return met.MetricsReport(config=report_config, per_rep=records, aggregates=agg)

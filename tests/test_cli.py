@@ -1,12 +1,14 @@
 import hashlib
+import inspect
 import json
 import tempfile
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sparsefactors import SimConfig, export_csv, simulate_panel
+from sparsefactors import SimConfig, export_csv, run_replications, simulate_panel
 from sparsefactors.cli import run_cli
 
 DATA = Path(__file__).parent / "data"
@@ -79,6 +81,19 @@ class TestSimulateCommand:
                         "--reps", "1", "--rmax", "3", "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert isinstance(manifest["seed"], int)
+
+    def test_manifest_defaults_are_the_library_defaults(self, tmp_path):
+        out = tmp_path / "o"
+        assert run_cli(["simulate", "--N", "36", "--T", "36", "--r", "1", "--alpha", "0.9",
+                        "--out", str(out)]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        run = inspect.signature(run_replications).parameters
+        expected = {f.name: f.default for f in fields(SimConfig) if f.default is not MISSING}
+        expected.update(rmax=run["rmax"].default, c=run["c_multiplier"].default,
+                        tasks=sorted(run["tasks"].default), workers=run["workers"].default,
+                        reps=100)
+        assert set(config) == set(expected) | {"N", "T", "r", "alpha", "seed"}
+        assert {key: config[key] for key in expected} == expected
 
     def test_invalid_range_is_user_error(self, tmp_path, capsys):
         code = run_cli(["simulate", "--N", "36", "--T", "36", "--r", "2",
@@ -237,6 +252,17 @@ SIM = ["simulate", "--N", "36", "--T", "36", "--r", "2", "--alpha", "0.9,0.7",
          "config_list.json must hold a JSON object, not list"),
         (["simulate", "--config", str(DATA / "config_scalar_alpha.json")], 1,
          "invalid value for alpha: 0.9"),
+        (["simulate", "--config", str(DATA / "config_standardize_string.json")], 1,
+         "standardize must be true or false, got 'no'"),
+        (["simulate", "--config", str(DATA / "config_support_mode_unknown.json")], 1,
+         "support_mode must be 'random' or 'contiguous', got 'weird'"),
+        (["simulate", "--config", str(DATA / "config_range_length.json")], 1,
+         "contiguous_ranges[1] must be integers (start, stop) within [0, 36], expected 12 units"),
+        (SIM + ["--c", "nan"], 1, "c must be finite, got nan"),
+        (SIM + ["--T", "2"], 1, "rmax must be at most min(N, T) = 2, got 4"),
+        (SIM + ["--T", "1", "--tasks", "fit"], 1, "r must be at most min(N, T) = 1, got 2"),
+        (SIM + ["--seed", "-1"], 1, "seed must be non-negative, got -1"),
+        (["estimate", "--r", "2", "--c", "inf"], 1, "c must be finite, got inf"),
     ],
 )
 def test_explicit_values_are_never_replaced_by_defaults(tmp_path, capsys, argv, code, fragment):

@@ -111,11 +111,6 @@ class TestRotationQ:
         assert summary["min_singular_value"] == pytest.approx(1.0, abs=1e-10)
         assert summary["lower_abs"] == {(2, 1): pytest.approx(0.0, abs=1e-12)}
 
-    def test_alpha_passthrough(self):
-        f = np.random.default_rng(9).normal(size=(20, 2))
-        _, summary = rotation_q(f, f, alpha=(0.9, 0.6))
-        assert summary["alpha"] == [0.9, 0.6]
-
 
 class TestAggregate:
     def test_exact_fold(self):

@@ -248,6 +248,20 @@ class TestStandardize:
         with pytest.raises(DegenerateSeriesError, match="flat"):
             standardize(panel)
 
+    def test_overflowing_variance_is_named(self):
+        # the squared deviations overflow, so sd = inf would zero the series
+        vals = np.vstack([np.arange(10.0), 1e307 * np.arange(10.0)])
+        panel = Panel(vals, ["ok", "huge"], [f"t{j}" for j in range(10)])
+        with pytest.raises(DegenerateSeriesError, match="'huge' overflows"):
+            standardize(panel)
+
+    def test_overflowing_mean_is_named(self):
+        # the row sum overflows, so mean = inf would turn every cell into NaN
+        vals = np.vstack([np.arange(10.0), np.full(10, 1.5e308) - 1e300 * np.arange(10.0)])
+        panel = Panel(vals, ["ok", "huge"], [f"t{j}" for j in range(10)])
+        with pytest.raises(DegenerateSeriesError, match="'huge' overflows"):
+            standardize(panel)
+
 
 class TestPanelInvariants:
     def test_nonfinite_values_rejected(self):

@@ -48,6 +48,11 @@ class TestThresholdValue:
         with pytest.raises(ValueError):
             threshold_value(200, 200, c=0.0)
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf])
+    def test_non_finite_c_rejected(self, c):
+        with pytest.raises(ValueError, match="c must be finite"):
+            threshold_value(200, 200, c=c)
+
 
 class TestScreen:
     def test_everything_survives_a_tiny_threshold(self):

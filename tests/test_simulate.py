@@ -1,3 +1,6 @@
+import pickle
+import re
+
 import numpy as np
 import pytest
 
@@ -214,6 +217,15 @@ class TestRunReplications:
         with pytest.raises(ValueError, match="unknown tasks"):
             run_replications(cfg, 1, tasks={"nope"})
 
+    def test_dimension_bounds_checked_up_front(self):
+        cfg = SimConfig(N=40, T=5, r=2, alpha=(0.9, 0.7), seed=8)
+        with pytest.raises(ValueError, match=re.escape("rmax must be at most min(N, T) = 5")):
+            run_replications(cfg, 1, tasks={"wz"}, rmax=6)
+        assert run_replications(cfg, 1, tasks={"fit"}, rmax=6).aggregates["failed"] == 0
+        thin = SimConfig(N=40, T=1, r=2, alpha=(0.9, 0.7), seed=8)
+        with pytest.raises(ValueError, match=re.escape("r must be at most min(N, T) = 1")):
+            run_replications(thin, 1, tasks={"fit"})
+
 
 class TestSimConfigValidation:
     def test_alpha_must_be_nonincreasing(self):
@@ -228,10 +240,26 @@ class TestSimConfigValidation:
         with pytest.raises(ValueError, match="contiguous"):
             SimConfig(N=40, T=40, r=1, alpha=(0.9,), seed=0, support_mode="contiguous")
 
-    def test_roundtrip_dict(self):
+    def test_survives_pickle(self):
+        # workers receive the config itself
         cfg = SimConfig(N=40, T=30, r=2, alpha=(0.9, 0.7), seed=12,
                         support_mode="contiguous", contiguous_ranges=((0, 27), (5, 18)))
-        assert SimConfig.from_dict(cfg.to_dict()) == cfg
+        assert pickle.loads(pickle.dumps(cfg)) == cfg
+
+    @pytest.mark.parametrize("kwargs, fragment", [
+        ({"seed": -1}, "seed must be non-negative"),
+        ({"r": 0, "alpha": ()}, "r must be positive"),
+        ({"support_mode": "weird"}, "support_mode must be"),
+        ({"standardize": "no"}, "standardize must be true or false"),
+        ({"support_mode": "contiguous", "contiguous_ranges": ((0, 27),)}, "1 entries for 2"),
+        ({"support_mode": "contiguous", "contiguous_ranges": ((0, 27), (5, 17))}, "expected 13"),
+        ({"support_mode": "contiguous", "contiguous_ranges": ((0, 27), (30, 43))}, "within [0, 40]"),
+        ({"support_mode": "contiguous", "contiguous_ranges": ((0, 27), (5.0, 18.0))}, "integers"),
+    ])
+    def test_bad_design_rejected(self, kwargs, fragment):
+        base = {"N": 40, "T": 30, "r": 2, "alpha": (0.9, 0.7), "seed": 0}
+        with pytest.raises(ValueError, match=re.escape(fragment)):
+            SimConfig(**{**base, **kwargs})
 
 
 class TestHeavyTails:
