@@ -43,7 +43,17 @@ from .panel import (
     ingest_csv,
     standardize,
 )
-from .pca import PcFit, SymEig, eig_sym_desc, export_pc_fit, gram, pc_fit, residual_variances
+from .pca import (
+    PcFit,
+    SymEig,
+    decompose,
+    eig_sym_desc,
+    export_pc_fit,
+    gram,
+    numerical_rank,
+    pc_fit,
+    residual_variances,
+)
 from .rolling import (
     HeatmapExport,
     RollingResult,
@@ -92,6 +102,7 @@ __all__ = [
     "TransformError",
     "align_and_trim",
     "apply_tcode",
+    "decompose",
     "eig_sym_desc",
     "export_csv",
     "export_pc_fit",
@@ -102,6 +113,7 @@ __all__ = [
     "gram",
     "heatmap_to_csv",
     "ingest_csv",
+    "numerical_rank",
     "pc_fit",
     "pooled_fdr_power",
     "residual_variances",

@@ -34,7 +34,7 @@ from . import __version__
 from .errors import InvalidArgumentError, SparseFactorsError
 from .factor_count import DEFAULT_RMAX, diagnostics_json, select_r, select_r_svt
 from .panel import VALID_TCODES, align_and_trim, ingest_csv, standardize
-from .pca import eig_sym_desc, export_pc_fit, gram, pc_fit
+from .pca import decompose, export_pc_fit, pc_fit
 from .rolling import heatmap_to_csv, rolling_analysis, rolling_to_csv, subperiod_heatmap
 from .screening import DEFAULT_C, screen, sparse_summary, threshold_value
 from .simulate import ALL_TASKS, SimConfig, run_replications
@@ -226,7 +226,7 @@ def _report_tables(report, config) -> dict:
 
 def _cmd_estimate(args) -> tuple[dict, dict]:
     panel = _load_panel(args)
-    eig = eig_sym_desc(gram(panel))
+    eig = decompose(panel)
     r = args.r
     if r is None:
         r = select_r_svt(panel, rmax=args.rmax, eig=eig).r_hat
@@ -262,7 +262,7 @@ def _cmd_select_r(args) -> tuple[dict, dict]:
 
 def _cmd_strengths(args) -> tuple[dict, dict]:
     panel = _load_panel(args)
-    eig = eig_sym_desc(gram(panel))
+    eig = decompose(panel)
     r = select_r_svt(panel, rmax=args.rmax, eig=eig).r_hat if args.r is None else args.r
     thr = threshold_value(panel.n_series, panel.n_periods, args.c)
     if args.r is None and r == 0:  # an explicit 0 is rejected by pc_fit

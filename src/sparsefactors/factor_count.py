@@ -1,6 +1,7 @@
 """Estimators of the number of factors.
 
-Four selectors over a shared eigendecomposition of ``X'X/(NT)``:
+Four selectors over a shared eigendecomposition of the panel Gram
+(``pca.decompose``, the smaller of ``X'X/(NT)`` and ``XX'/(NT)``):
 
 * ``select_r_svt`` - singular-value thresholding: count the eigenvalues at or
   above ``sigma2 * N^{-1/2} * sqrt(ln ln N)``.
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .panel import Panel
-from .pca import SymEig, eig_sym_desc, gram, residual_variances
+from .pca import SymEig, decompose, numerical_rank, residual_variances
 
 DEFAULT_RMAX = 8
 
@@ -43,11 +44,25 @@ class FactorCountResult:
     notes: tuple = ()
 
 
-def _prep(panel: Panel, rmax: int, eig: SymEig | None) -> SymEig:
-    n, t = panel.values.shape
-    if not 1 <= rmax <= min(n, t):
-        raise InvalidArgumentError(f"rmax must be in [1, {min(n, t)}], got {rmax}")
-    return eig if eig is not None else eig_sym_desc(gram(panel))
+def check_rmax(methods, rmax: int, n: int, t: int) -> None:
+    """Require that every rule in ``methods`` can read its eigenvalues of an N x T panel.
+
+    Each rule reads ``rmax + EXTRA_EIGENVALUES[method]`` of the min(N, T) eigenvalues.
+    """
+    m = min(n, t)
+    if not 1 <= rmax <= m:
+        raise InvalidArgumentError(f"rmax must be in [1, {m}], got {rmax}")
+    for method in sorted(methods, key=EXTRA_EIGENVALUES.__getitem__, reverse=True):
+        extra = EXTRA_EIGENVALUES[method]
+        if rmax + extra > m:
+            raise InvalidArgumentError(
+                f"rmax must be at most min(N, T) - {extra} = {m - extra} for {method!r} "
+                f"(it reads rmax + {extra} eigenvalues), got {rmax}")
+
+
+def _prep(panel: Panel, method: str, rmax: int, eig: SymEig | None) -> SymEig:
+    check_rmax((method,), rmax, *panel.values.shape)
+    return eig if eig is not None else decompose(panel)
 
 
 def select_r_svt(panel: Panel, rmax: int = DEFAULT_RMAX, eig: SymEig | None = None) -> FactorCountResult:
@@ -61,12 +76,11 @@ def select_r_svt(panel: Panel, rmax: int = DEFAULT_RMAX, eig: SymEig | None = No
     n, t = panel.values.shape
     if n < 16:
         raise InvalidArgumentError(f"N must be at least 16 for the double-log threshold, got {n}")
-    eig = _prep(panel, rmax, eig)
+    eig = _prep(panel, "wz", rmax, eig)
     sigma2 = float(residual_variances(panel, eig, rmax)[-1])
     notes = []
     if sigma2 <= 1e-12 * max(float(np.mean(panel.values**2)), 1e-300):
-        rank = int(np.linalg.matrix_rank(panel.values))
-        r_hat = min(rank, rmax)
+        r_hat = min(numerical_rank(panel, eig), rmax)
         notes.append("rank-deficient: sigma2 = 0, returned rank(X) capped at rmax")
         thr = 0.0
     else:
@@ -80,7 +94,7 @@ def select_r_svt(panel: Panel, rmax: int = DEFAULT_RMAX, eig: SymEig | None = No
 def select_r_icp1(panel: Panel, rmax: int = DEFAULT_RMAX, eig: SymEig | None = None) -> FactorCountResult:
     """IC_p1: minimize ``ln V(k) + k ((N+T)/NT) ln(NT/(N+T))`` over k = 1..rmax."""
     n, t = panel.values.shape
-    eig = _prep(panel, rmax, eig)
+    eig = _prep(panel, "bn", rmax, eig)
     penalty = (n + t) / (n * t) * math.log(n * t / (n + t))
     vks = residual_variances(panel, eig, rmax)
     zero_floor = 1e-12 * max(float(np.mean(panel.values**2)), 1e-300)
@@ -104,10 +118,8 @@ def select_r_ed(panel: Panel, rmax: int = DEFAULT_RMAX, eig: SymEig | None = Non
     ``(j-1)^{2/3} .. (j+3)^{2/3}``; iteration starts at j = rmax + 1 and
     stops at a fixed point or after 10 rounds (note attached in that case).
     """
-    n, t = panel.values.shape
-    if rmax + 5 > min(n, t):
-        raise InvalidArgumentError(f"need rmax + 5 <= min(N, T); got rmax={rmax}, min={min(n, t)}")
-    eig = _prep(panel, rmax, eig)
+    n = panel.n_series
+    eig = _prep(panel, "ed", rmax, eig)
     # eigenvalues of XX'/T equal N times those of X'X/(NT) on the shared spectrum
     gamma = n * eig.values
     j = rmax + 1
@@ -138,10 +150,7 @@ def select_r_ed(panel: Panel, rmax: int = DEFAULT_RMAX, eig: SymEig | None = Non
 
 def select_r_ah(panel: Panel, rmax: int = DEFAULT_RMAX, eig: SymEig | None = None) -> FactorCountResult:
     """Eigenvalue-ratio rule: argmax of ``mu_k / mu_{k+1}`` over k = 1..rmax."""
-    n, t = panel.values.shape
-    if rmax + 1 > min(n, t):
-        raise InvalidArgumentError(f"need rmax + 1 <= min(N, T); got rmax={rmax}, min={min(n, t)}")
-    eig = _prep(panel, rmax, eig)
+    eig = _prep(panel, "ah", rmax, eig)
     mu = eig.values
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(mu[1 : rmax + 1] > 0, mu[:rmax] / mu[1 : rmax + 1], np.inf)
@@ -156,6 +165,9 @@ SELECTORS = {
     "ed": select_r_ed,
     "ah": select_r_ah,
 }
+# eigenvalues each rule reads beyond the first rmax: AH divides by mu_{rmax+1},
+# ED regresses on the five from rmax + 1 on
+EXTRA_EIGENVALUES = {"wz": 0, "bn": 0, "ed": 5, "ah": 1}
 
 
 def select_r(panel: Panel, methods, rmax: int = DEFAULT_RMAX) -> dict[str, FactorCountResult]:
@@ -163,7 +175,8 @@ def select_r(panel: Panel, methods, rmax: int = DEFAULT_RMAX) -> dict[str, Facto
     unknown = [m for m in methods if m not in SELECTORS]
     if unknown:
         raise InvalidArgumentError(f"unknown factor-count methods {unknown}; choose from {sorted(SELECTORS)}")
-    eig = eig_sym_desc(gram(panel))
+    check_rmax(methods, rmax, *panel.values.shape)
+    eig = decompose(panel)
     return {m: SELECTORS[m](panel, rmax=rmax, eig=eig) for m in methods}
 
 

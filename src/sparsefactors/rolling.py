@@ -17,7 +17,7 @@ import numpy as np
 from .errors import InvalidArgumentError
 from .factor_count import DEFAULT_RMAX, SELECTORS
 from .panel import Panel, standardize
-from .pca import eig_sym_desc, gram, pc_fit
+from .pca import decompose, pc_fit
 from .screening import DEFAULT_C, screen, strengths, threshold_value
 
 HEATMAP_CENSOR = 3.0
@@ -94,7 +94,7 @@ def rolling_analysis(
             group_ids=panel.group_ids,
         )
         win = standardize(win)
-        eig = eig_sym_desc(gram(win))
+        eig = decompose(win)
         for m in methods:
             r_series[m].append(SELECTORS[m](win, rmax=rmax, eig=eig).r_hat)
         r_wz = r_series["wz"][-1]
@@ -166,7 +166,7 @@ def subperiod_heatmap(
     if r is not None and not 1 <= r <= limit:  # only an SVT-selected count may be 0
         raise InvalidArgumentError(f"r must be in [1, {limit}], got {r}")
     thr = threshold_value(sub.n_series, sub.n_periods, c_multiplier)
-    eig = eig_sym_desc(gram(sub))
+    eig = decompose(sub)
     if r is None:
         r = SELECTORS["wz"](sub, rmax=rmax, eig=eig).r_hat
     if r == 0:

@@ -25,9 +25,9 @@ import numpy as np
 
 from . import metrics as met
 from .errors import InvalidArgumentError
-from .factor_count import DEFAULT_RMAX, SELECTORS
+from .factor_count import DEFAULT_RMAX, SELECTORS, check_rmax
 from .panel import Panel, standardize as _standardize_panel
-from .pca import StandardizationWarning, eig_sym_desc, gram, pc_fit
+from .pca import StandardizationWarning, decompose, pc_fit
 from .screening import DEFAULT_C, screen, strengths, symm_diff_ratio, threshold_value
 
 _STREAM_FACTORS = 0
@@ -102,7 +102,6 @@ class SimTruth:
     Lambda0: np.ndarray
     supports0: tuple
     C0: np.ndarray
-    Sigma_e_blocks: tuple
     loc: np.ndarray
     scale: np.ndarray
     standardized: bool = False
@@ -239,7 +238,7 @@ def simulate_panel(config: SimConfig, rep: int = 0) -> tuple[Panel, SimTruth]:
         support_mode=config.support_mode,
         ranges=config.contiguous_ranges,
     )
-    e, blocks = gen_errors(config.N, config.T, (*base, _STREAM_ERRORS))
+    e, _ = gen_errors(config.N, config.T, (*base, _STREAM_ERRORS))
     c0 = lam0 @ f0.T
     x = c0 + e
     panel = Panel(
@@ -255,8 +254,7 @@ def simulate_panel(config: SimConfig, rep: int = 0) -> tuple[Panel, SimTruth]:
         panel = _standardize_panel(panel)
     truth = SimTruth(
         F0=f0, Lambda0=lam0, supports0=supports, C0=c0,
-        Sigma_e_blocks=blocks, loc=loc, scale=scale,
-        standardized=config.standardize,
+        loc=loc, scale=scale, standardized=config.standardize,
     )
     return panel, truth
 
@@ -276,7 +274,7 @@ def _replicate(args) -> met.ReplicationRecord:
 
 def _replicate_inner(config, rep, tasks, rmax, threshold, rec) -> met.ReplicationRecord:
     panel, truth = simulate_panel(config, rep=rep)
-    eig = eig_sym_desc(gram(panel))
+    eig = decompose(panel)
     for tag, select in SELECTORS.items():
         if tag in tasks:
             rec.r_hat[tag] = select(panel, rmax=rmax, eig=eig).r_hat
@@ -338,9 +336,11 @@ def run_replications(
     unknown = tasks - ALL_TASKS
     if unknown:
         raise InvalidArgumentError(f"unknown tasks {sorted(unknown)}; choose from {sorted(ALL_TASKS)}")
-    n_min = min(config.N, config.T)  # the selectors read rmax eigenvalues, the fit r factors
-    if tasks & SELECTORS.keys() and rmax > n_min:
-        raise InvalidArgumentError(f"rmax must be at most min(N, T) = {n_min}, got {rmax}")
+    n_min = min(config.N, config.T)  # the selectors read rmax eigenvalues (AH, ED more), the fit r factors
+    if tasks & SELECTORS.keys():
+        if rmax > n_min:
+            raise InvalidArgumentError(f"rmax must be at most min(N, T) = {n_min}, got {rmax}")
+        check_rmax(tasks & SELECTORS.keys(), rmax, config.N, config.T)
     if tasks - SELECTORS.keys() and config.r > n_min:
         raise InvalidArgumentError(f"r must be at most min(N, T) = {n_min}, got {config.r}")
     threshold = threshold_value(config.N, config.T, c_multiplier)

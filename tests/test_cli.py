@@ -263,6 +263,9 @@ SIM = ["simulate", "--N", "36", "--T", "36", "--r", "2", "--alpha", "0.9,0.7",
         (SIM + ["--T", "1", "--tasks", "fit"], 1, "r must be at most min(N, T) = 1, got 2"),
         (SIM + ["--seed", "-1"], 1, "seed must be non-negative, got -1"),
         (["estimate", "--r", "2", "--c", "inf"], 1, "c must be finite, got inf"),
+        (SIM + ["--T", "10", "--rmax", "8"], 1,
+         "rmax must be at most min(N, T) - 5 = 5 for 'ed' (it reads rmax + 5 eigenvalues), got 8"),
+        (["select-r", "--rmax", "36"], 1, "rmax must be at most min(N, T) - 5 = 35 for 'ed'"),
     ],
 )
 def test_explicit_values_are_never_replaced_by_defaults(tmp_path, capsys, argv, code, fragment):

@@ -139,6 +139,15 @@ class TestSharedInterface:
         for res in out.values():
             assert 0 <= res.r_hat <= 6
 
+    def test_rmax_bound_of_each_rule_checked_before_decomposing(self, eig_dims):
+        panel = low_rank_panel(12, 40, rank=1, seed=15, noise=0.5)
+        assert set(select_r(panel, ["bn", "ah"], rmax=11)) == {"bn", "ah"}
+        with pytest.raises(ValueError, match=r"min\(N, T\) - 1 = 11 for 'ah'.*got 12"):
+            select_r(panel, ["bn", "ah"], rmax=12)
+        with pytest.raises(ValueError, match=r"min\(N, T\) - 5 = 7 for 'ed'.*got 8"):
+            select_r(panel, ["ah", "ed", "wz"], rmax=8)
+        assert eig_dims == [12]  # only the run that passed decomposed
+
     def test_unknown_method_rejected(self):
         panel = low_rank_panel(30, 30, rank=1, seed=13, noise=0.5)
         with pytest.raises(ValueError, match="unknown"):

@@ -1,7 +1,22 @@
 import numpy as np
 import pytest
 
-from sparsefactors import Panel, eig_sym_desc, export_pc_fit, gram, pc_fit, residual_variances
+from sparsefactors import (
+    InvalidArgumentError,
+    Panel,
+    SimConfig,
+    decompose,
+    eig_sym_desc,
+    export_csv,
+    export_pc_fit,
+    gram,
+    numerical_rank,
+    pc_fit,
+    residual_variances,
+    run_replications,
+    simulate_panel,
+)
+from sparsefactors.cli import run_cli
 from sparsefactors.pca import StandardizationWarning
 
 from jacobi_oracle import jacobi_eigh
@@ -196,3 +211,114 @@ class TestLazyFit:
         resid = fit.resid
         assert set(vars(fit)) >= {"common", "resid"}
         assert fit.resid is resid  # cached, not rebuilt
+
+
+class TestDecompose:
+    """``decompose`` takes the smaller Gram; ``pc_fit`` maps it to the T x T convention."""
+
+    @pytest.mark.parametrize("n, t", [(3, 400), (8, 300), (20, 60), (35, 36), (50, 120)])
+    def test_n_side_matches_t_side(self, n, t):
+        panel = random_panel(n, t, seed=n * t)
+        small, full = decompose(panel), eig_sym_desc(gram(panel))
+        assert small.side == "N" and small.values.shape == (n,) and small.vectors.shape == (n, n)
+        assert np.max(np.abs(small.values - full.values[:n]) / full.values[0]) < 1e-10
+        for r in sorted({1, min(3, n), n}):
+            fast, slow = pc_fit(panel, r, eig=small), pc_fit(panel, r, eig=full)
+            assert np.max(np.abs(fast.eigvals - slow.eigvals) / slow.eigvals) < 1e-10
+            assert np.max(np.abs(fast.factors - slow.factors)) < 1e-8  # same signs
+            assert np.max(np.abs(fast.loadings - slow.loadings)) < 1e-8
+            assert np.max(np.abs(fast.factors.T @ fast.factors / t - np.eye(r))) < 1e-8
+
+    @pytest.mark.parametrize("n, t", [(7, 7), (60, 20), (400, 3)])
+    def test_t_side_is_the_gram_route_exactly(self, n, t):
+        panel = panel_of(np.random.default_rng(n + t).normal(size=(n, t)))
+        small, full = decompose(panel), eig_sym_desc(gram(panel))
+        assert small.side == "T"
+        assert np.array_equal(small.values, full.values)
+        assert np.array_equal(small.vectors, full.vectors)
+        r = min(n, t, 4)
+        fast, slow = pc_fit(panel, r), pc_fit(panel, r, eig=full)
+        assert np.array_equal(fast.factors, slow.factors)
+        assert np.array_equal(fast.loadings, slow.loadings)
+        assert np.array_equal(fast.eigvals, slow.eigvals)
+
+    def test_t_side_eig_still_accepted_when_n_below_t(self):
+        panel = random_panel(6, 30, seed=41)
+        full = eig_sym_desc(gram(panel))
+        fit = pc_fit(panel, 2, eig=full)
+        assert np.array_equal(fit.factors, np.sqrt(30) * full.vectors[:, :2])
+
+    def test_spectrum_is_nonincreasing(self):
+        for n, t in [(10, 200), (30, 31)]:
+            assert np.all(np.diff(decompose(random_panel(n, t, seed=t)).values) <= 0.0)
+
+
+def low_rank(n, t, rank, seed):
+    rng = np.random.default_rng(seed)
+    return panel_of(5.0 * rng.normal(size=(n, rank)) @ rng.normal(size=(rank, t)))
+
+
+class TestNumericalRank:
+    @pytest.mark.parametrize("n, t", [(6, 400), (20, 60), (60, 20), (400, 6)])
+    def test_rank_of_low_rank_panels(self, n, t):
+        for rank in (1, 2, 4):
+            panel = low_rank(n, t, rank, seed=rank)
+            assert numerical_rank(panel, decompose(panel)) == rank
+            assert numerical_rank(panel, eig_sym_desc(gram(panel))) == rank
+        full = panel_of(np.random.default_rng(3).normal(size=(n, t)))
+        assert numerical_rank(full, decompose(full)) == min(n, t)
+        centered = random_panel(n, t, seed=3)  # per-series centering removes one dimension when T <= N
+        assert numerical_rank(centered, decompose(centered)) == min(n, t - 1)
+
+    def test_zero_panel_has_rank_zero(self):
+        panel = panel_of(np.zeros((5, 9)))
+        assert numerical_rank(panel, decompose(panel)) == 0
+        with pytest.raises(InvalidArgumentError, match="exceeds the numerical rank 0"):
+            pc_fit(panel, 1)
+
+    @pytest.mark.parametrize("n, t", [(6, 400), (400, 6), (12, 12)])
+    def test_fit_beyond_rank_rejected_on_either_side(self, n, t):
+        panel = low_rank(n, t, 2, seed=5)
+        for eig in (decompose(panel), eig_sym_desc(gram(panel))):
+            assert pc_fit(panel, 2, eig=eig).r == 2
+            with pytest.raises(InvalidArgumentError, match="r = 3 exceeds the numerical rank 2"):
+                pc_fit(panel, 3, eig=eig)
+
+    @pytest.mark.parametrize("n, t", [(20, 300), (300, 20)])
+    def test_estimate_beyond_rank_exits_one(self, tmp_path, capsys, n, t):
+        data = tmp_path / "panel.csv"
+        data.write_text(export_csv(low_rank(n, t, 2, seed=6)), encoding="utf-8")
+        assert run_cli(["estimate", "--data", str(data), "--r", "2", "--out", str(tmp_path / "a")]) == 0
+        assert run_cli(["estimate", "--data", str(data), "--r", "3", "--out", str(tmp_path / "b")]) == 1
+        assert "error: r = 3 exceeds the numerical rank 2 of the panel" in capsys.readouterr().err
+
+
+class TestDecompositionSize:
+    """Every decomposition a caller makes has dimension min(N, T)."""
+
+    @pytest.mark.parametrize("n, t", [(20, 50), (50, 20)])
+    def test_cli_commands(self, tmp_path, eig_dims, n, t):
+        panel, _ = simulate_panel(SimConfig(N=n, T=t, r=2, alpha=(0.9, 0.7), seed=1))
+        data = tmp_path / "panel.csv"
+        data.write_text(export_csv(panel), encoding="utf-8")
+        base = ["--data", str(data), "--rmax", "3"]
+        for k, argv in enumerate([["estimate", "--r", "2"], ["strengths", "--r", "2"],
+                                  ["select-r"], ["heatmap", "--r", "2"]]):
+            assert run_cli(argv + base + ["--out", str(tmp_path / f"o{k}")]) == 0
+        assert eig_dims == [min(n, t)] * 4
+
+    @pytest.mark.parametrize("window", [15, 30])
+    def test_rolling_windows(self, tmp_path, eig_dims, window):
+        panel, _ = simulate_panel(SimConfig(N=20, T=40, r=2, alpha=(0.9, 0.7), seed=2))
+        data = tmp_path / "panel.csv"
+        data.write_text(export_csv(panel), encoding="utf-8")
+        argv = ["rolling", "--data", str(data), "--window", str(window), "--rmax", "3",
+                "--methods", "wz,bn", "--out", str(tmp_path / "o")]
+        assert run_cli(argv) == 0
+        assert eig_dims == [min(20, window)] * (40 - window + 1)
+
+    @pytest.mark.parametrize("n, t", [(20, 60), (60, 20)])
+    def test_replications(self, eig_dims, n, t):
+        report = run_replications(SimConfig(N=n, T=t, r=2, alpha=(0.9, 0.7), seed=3), 2, rmax=3)
+        assert report.aggregates["failed"] == 0
+        assert eig_dims == [min(n, t)] * 2
