@@ -4,19 +4,9 @@ Simulates one panel with three factors of strength (0.9, 0.75, 0.6), fits
 principal components, screens the loadings, and compares the recovered
 supports and strengths against the truth.
 """
-import warnings
-
 import numpy as np
 
-from sparsefactors import (
-    SimConfig,
-    fdr_power,
-    pc_fit,
-    screen,
-    simulate_panel,
-    strengths,
-    threshold_value,
-)
+from sparsefactors import SimConfig, estimate, fdr_power, simulate_panel
 
 N, T = 200, 200
 cfg = SimConfig(N=N, T=T, r=3, alpha=(0.9, 0.75, 0.6), seed=42)
@@ -24,19 +14,15 @@ panel, truth = simulate_panel(cfg)
 print(f"panel: {N} series x {T} periods, true strengths {cfg.alpha}")
 print(f"true support sizes: {[len(s) for s in truth.supports0]}")
 
-with warnings.catch_warnings():
-    # estimation on the simulated scale is intentional here
-    warnings.simplefilter("ignore")
-    fit = pc_fit(panel, 3)
-print("\ntop-3 eigenvalues of X'X/(NT):", np.round(fit.eigvals, 4))
+# estimated on the raw simulated scale, as the Monte Carlo harness does by default
+est = estimate(panel, 3)
+print("\ntop-3 eigenvalues of X'X/(NT):", np.round(est.fit.eigvals, 4))
 
-thr = threshold_value(N, T)
-sp = screen(fit, thr)
-est = strengths(sp, N)
-print(f"\nscreening threshold 1/sqrt(ln(NT)) = {thr:.4f}")
+sp = est.sparse
+print(f"\nscreening threshold 1/sqrt(ln(NT)) = {est.threshold:.4f}")
 print(f"screened support sizes: {list(sp.counts)}")
-print("estimated strengths:   ", [round(a, 3) for a in est.alpha_hat])
-print("classification:        ", list(est.labels))
+print("estimated strengths:   ", [round(a, 3) for a in est.strength.alpha_hat])
+print("classification:        ", list(est.strength.labels))
 
 print("\nsupport recovery per factor (false discovery proportion, recall):")
 for k in range(3):

@@ -63,8 +63,10 @@ from .rolling import (
     subperiod_heatmap,
 )
 from .screening import (
+    Estimate,
     SparseFit,
     StrengthEstimate,
+    estimate,
     screen,
     strengths,
     symm_diff_ratio,
@@ -83,6 +85,7 @@ from .simulate import (
 __all__ = [
     "DEFAULT_RMAX",
     "DegenerateSeriesError",
+    "Estimate",
     "FactorCountResult",
     "HeatmapExport",
     "InsufficientSampleError",
@@ -104,6 +107,7 @@ __all__ = [
     "apply_tcode",
     "decompose",
     "eig_sym_desc",
+    "estimate",
     "export_csv",
     "export_pc_fit",
     "fdr_power",

@@ -32,11 +32,11 @@ import numpy as np
 
 from . import __version__
 from .errors import InvalidArgumentError, SparseFactorsError
-from .factor_count import DEFAULT_RMAX, diagnostics_json, select_r, select_r_svt
+from .factor_count import DEFAULT_RMAX, diagnostics_json, select_r
 from .panel import VALID_TCODES, align_and_trim, ingest_csv, standardize
-from .pca import decompose, export_pc_fit, pc_fit
+from .pca import export_pc_fit
 from .rolling import heatmap_to_csv, rolling_analysis, rolling_to_csv, subperiod_heatmap
-from .screening import DEFAULT_C, screen, sparse_summary, threshold_value
+from .screening import DEFAULT_C, estimate, sparse_summary
 from .simulate import ALL_TASKS, SimConfig, run_replications
 
 
@@ -226,27 +226,22 @@ def _report_tables(report, config) -> dict:
 
 def _cmd_estimate(args) -> tuple[dict, dict]:
     panel = _load_panel(args)
-    eig = decompose(panel)
-    r = args.r
-    if r is None:
-        r = select_r_svt(panel, rmax=args.rmax, eig=eig).r_hat
-        if r == 0:
-            raise SparseFactorsError("SVT rule detected no factors; pass --r to force a fit")
-    fit = pc_fit(panel, r, eig=eig)
-    sp = screen(fit, threshold_value(panel.n_series, panel.n_periods, args.c))
-    tables = export_pc_fit(fit, panel)
+    est = estimate(panel, args.r, rmax=args.rmax, c=args.c)
+    if est.fit is None:
+        raise SparseFactorsError("SVT rule detected no factors; pass --r to force a fit")
+    tables = export_pc_fit(est.fit, panel)
     files = {
         "factors.csv": tables["factors"],
         "loadings.csv": tables["loadings"],
         "eigenvalues.csv": tables["eigenvalues"],
         "screened_loadings.csv": _csv_text(
-            [["series"] + [f"pc{k + 1}" for k in range(r)]]
+            [["series"] + [f"pc{k + 1}" for k in range(est.r)]]
             + [[name] + [repr(float(v)) for v in row]
-               for name, row in zip(panel.series_ids, sp.lambda_hat)]
+               for name, row in zip(panel.series_ids, est.sparse.lambda_hat)]
         ),
-        "strengths.json": json.dumps(sparse_summary(sp, panel.n_series, args.c), indent=2) + "\n",
+        "strengths.json": json.dumps(sparse_summary(est, args.c), indent=2) + "\n",
     }
-    return files, _data_config(args, r=r)
+    return files, _data_config(args, r=est.r)
 
 
 def _cmd_select_r(args) -> tuple[dict, dict]:
@@ -262,16 +257,13 @@ def _cmd_select_r(args) -> tuple[dict, dict]:
 
 def _cmd_strengths(args) -> tuple[dict, dict]:
     panel = _load_panel(args)
-    eig = decompose(panel)
-    r = select_r_svt(panel, rmax=args.rmax, eig=eig).r_hat if args.r is None else args.r
-    thr = threshold_value(panel.n_series, panel.n_periods, args.c)
-    if args.r is None and r == 0:  # an explicit 0 is rejected by pc_fit
+    est = estimate(panel, args.r, rmax=args.rmax, c=args.c)
+    if est.fit is None:
         summary = {"threshold": None, "counts": [], "alpha_hat": [], "labels": [],
                    "note": "degenerate: no factors detected"}
     else:
-        sp = screen(pc_fit(panel, r, eig=eig), thr)
-        summary = sparse_summary(sp, panel.n_series, args.c)
-    return {"strengths.json": json.dumps(summary, indent=2) + "\n"}, _data_config(args, r=r)
+        summary = sparse_summary(est, args.c)
+    return {"strengths.json": json.dumps(summary, indent=2) + "\n"}, _data_config(args, r=est.r)
 
 
 def _cmd_rolling(args) -> tuple[dict, dict]:

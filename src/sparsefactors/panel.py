@@ -60,15 +60,12 @@ class Panel:
         T time labels.
     group_ids : tuple of int, optional
         Small integer group id per series (1-13 in the FRED-QD use case).
-    standardized : bool
-        True once every row has mean 0 and unit variance.
     """
 
     values: np.ndarray
     series_ids: tuple
     time_ids: tuple
     group_ids: tuple | None = None
-    standardized: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "values", _readonly(self.values))
@@ -315,7 +312,6 @@ def align_and_trim(panel: Panel, codes) -> Panel:
         series_ids=panel.series_ids,
         time_ids=panel.time_ids[2:],
         group_ids=panel.group_ids,
-        standardized=False,
     )
 
 
@@ -324,9 +320,14 @@ def standardize(panel: Panel) -> Panel:
 
     Raises
     ------
+    InsufficientSampleError
+        If the panel has fewer than 2 periods (the sample variance needs 2).
     DegenerateSeriesError
         If some series is constant, or its mean or variance overflows, naming it.
     """
+    if panel.n_periods < 2:
+        raise InsufficientSampleError(
+            f"standardizing needs at least 2 periods, got {panel.n_periods}")
     x = panel.values
     with np.errstate(over="ignore", invalid="ignore"):
         mean = x.mean(axis=1, keepdims=True)
@@ -337,4 +338,4 @@ def standardize(panel: Panel) -> Panel:
         raise DegenerateSeriesError(
             f"series {panel.series_ids[bad[0]]!r} {why} and cannot be standardized"
         )
-    return replace(panel, values=(x - mean) / sd, standardized=True)
+    return replace(panel, values=(x - mean) / sd)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import io
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,10 +24,6 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .panel import Panel
-
-
-class StandardizationWarning(UserWarning):
-    """Panel passed to pc_fit without prior standardization."""
 
 
 @dataclass(frozen=True)
@@ -168,19 +163,14 @@ def pc_fit(panel: Panel, r: int, eig: SymEig | None = None) -> PcFit:
 
     Notes
     -----
-    Warns (does not refuse) when the panel is not standardized. From an
-    N-side decomposition the factors are ``sqrt(T) X'u_k / ||X'u_k||`` with
-    the sign rule of ``eig_sym_desc`` applied to them, which reproduces the
-    T-side factors to roundoff.
+    From an N-side decomposition the factors are ``sqrt(T) X'u_k / ||X'u_k||``
+    with the sign rule of ``eig_sym_desc`` applied to them, which reproduces
+    the T-side factors to roundoff.
     """
     x = panel.values
     n, t = x.shape
     if not 1 <= r <= min(n, t):
         raise InvalidArgumentError(f"r must be in [1, {min(n, t)}], got {r}")
-    if not panel.standardized:
-        warnings.warn(
-            "pc_fit called on a non-standardized panel", StandardizationWarning, stacklevel=2
-        )
     if eig is None:
         eig = decompose(panel)
     rank = numerical_rank(panel, eig)

@@ -10,15 +10,14 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InvalidArgumentError
 from .factor_count import DEFAULT_RMAX, SELECTORS
 from .panel import Panel, standardize
-from .pca import decompose, pc_fit
-from .screening import DEFAULT_C, screen, strengths, threshold_value
+from .screening import DEFAULT_C, estimate
 
 HEATMAP_CENSOR = 3.0
 
@@ -52,14 +51,6 @@ class HeatmapExport:
     column_labels: tuple
 
 
-def _window_strengths(win: Panel, r_hat: int, thr: float, eig):
-    if r_hat == 0:
-        return ()
-    fit = pc_fit(win, r_hat, eig=eig)
-    est = strengths(screen(fit, thr), win.n_series)
-    return tuple(sorted(est.alpha_hat, reverse=True))
-
-
 def rolling_analysis(
     panel: Panel,
     window: int = 120,
@@ -82,25 +73,20 @@ def rolling_analysis(
     unknown = [m for m in methods if m not in SELECTORS]
     if unknown:
         raise InvalidArgumentError(f"unknown methods {unknown}")
-    thr = threshold_value(panel.n_series, window, c_multiplier)  # every window is N x window
     endpoints, notes, strengths_out = [], [], []
     r_series: dict = {m: [] for m in methods}
     for t in range(window, panel.n_periods + 1):
         sl = slice(t - window, t)
-        win = Panel(
-            values=panel.values[:, sl],
-            series_ids=panel.series_ids,
-            time_ids=panel.time_ids[sl],
-            group_ids=panel.group_ids,
-        )
-        win = standardize(win)
-        eig = decompose(win)
+        win = replace(panel, values=panel.values[:, sl], time_ids=panel.time_ids[sl])
+        est = estimate(standardize(win), rmax=rmax, c=c_multiplier)  # est.r is the "wz" count
         for m in methods:
-            r_series[m].append(SELECTORS[m](win, rmax=rmax, eig=eig).r_hat)
-        r_wz = r_series["wz"][-1]
-        strengths_out.append(_window_strengths(win, r_wz, thr, eig))
+            r_series[m].append(
+                est.r if m == "wz" else SELECTORS[m](est.panel, rmax=rmax, eig=est.eig).r_hat)
+        degenerate = est.fit is None
+        strengths_out.append(
+            () if degenerate else tuple(sorted(est.strength.alpha_hat, reverse=True)))
+        notes.append("degenerate: r_hat = 0" if degenerate else "")
         endpoints.append(panel.time_ids[t - 1])
-        notes.append("degenerate: r_hat = 0" if r_wz == 0 else "")
     return RollingResult(
         window_length=window,
         endpoints=tuple(endpoints),
@@ -155,32 +141,18 @@ def subperiod_heatmap(
             raise InvalidArgumentError(f"time label not in panel: {exc}") from exc
         if lo > hi:
             raise InvalidArgumentError(f"empty time range {time_range}")
-    sub = Panel(
-        values=panel.values[:, lo : hi + 1],
-        series_ids=panel.series_ids,
-        time_ids=panel.time_ids[lo : hi + 1],
-        group_ids=panel.group_ids,
-    )
-    sub = standardize(sub)
-    limit = min(sub.n_series, sub.n_periods)
-    if r is not None and not 1 <= r <= limit:  # only an SVT-selected count may be 0
-        raise InvalidArgumentError(f"r must be in [1, {limit}], got {r}")
-    thr = threshold_value(sub.n_series, sub.n_periods, c_multiplier)
-    eig = decompose(sub)
-    if r is None:
-        r = SELECTORS["wz"](sub, rmax=rmax, eig=eig).r_hat
-    if r == 0:
+    sub = replace(panel, values=panel.values[:, lo : hi + 1], time_ids=panel.time_ids[lo : hi + 1])
+    est = estimate(standardize(sub), r, rmax=rmax, c=c_multiplier)
+    if est.fit is None:
         values = np.zeros((sub.n_series, 0))
         cols: tuple = ()
     else:
-        fit = pc_fit(sub, r, eig=eig)
-        sp = screen(fit, thr)
-        est = strengths(sp, sub.n_series)
-        values = np.minimum(np.abs(sp.lambda_hat), HEATMAP_CENSOR)
-        order = np.argsort([-a for a in est.alpha_hat], kind="stable")
+        alpha = est.strength.alpha_hat
+        values = np.minimum(np.abs(est.sparse.lambda_hat), HEATMAP_CENSOR)
+        order = np.argsort([-a for a in alpha], kind="stable")
         rank_of = {int(col): pos + 1 for pos, col in enumerate(order)}
         cols = tuple(
-            f"pc{k + 1} (rank {rank_of[k]}, alpha={est.alpha_hat[k]:.3f})" for k in range(r)
+            f"pc{k + 1} (rank {rank_of[k]}, alpha={alpha[k]:.3f})" for k in range(est.r)
         )
     if panel.group_ids is not None:
         rows = tuple(f"#{g} {name}" for g, name in zip(panel.group_ids, panel.series_ids))

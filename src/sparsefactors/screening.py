@@ -4,17 +4,24 @@ Small loading estimates are mostly rotation contamination plus estimation
 noise, so zeroing every entry with ``|loading| <= c / sqrt(ln(NT))`` recovers
 the sparsity pattern. The count of survivors per factor yields the strength
 estimate ``alpha_k = ln(count_k) / ln(N)``.
+
+``estimate`` runs the whole chain on one panel: ``threshold_value`` ->
+``decompose`` -> r (given, or ``select_r_svt``) -> ``pc_fit`` -> ``screen``
+-> ``strengths``, the last three on first read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .pca import PcFit
+from .factor_count import DEFAULT_RMAX, FactorCountResult, select_r_svt
+from .panel import Panel
+from .pca import PcFit, SymEig, decompose, pc_fit
 
 DEFAULT_C = 1.0  # the threshold multiplier c used unless one is given
 STRONG_CUTOFF = 0.95
@@ -117,13 +124,57 @@ def symm_diff_ratio(true_support, est_support, alpha: float, n: int) -> float:
     return len(a ^ b) / n**alpha
 
 
-def sparse_summary(sparse: SparseFit, n: int, c_multiplier: float) -> dict:
-    """JSON-ready summary: threshold, its multiplier ``c``, counts, strengths, labels."""
-    est = strengths(sparse, n)
+@dataclass(frozen=True)
+class Estimate:
+    """One panel's estimate: its decomposition, factor count, fit, screening and strengths.
+
+    ``selection`` is the SVT result that chose ``r``, or None when ``r`` was
+    given. ``fit``, ``sparse`` and ``strength`` are computed on first read
+    and cached; they are None exactly when SVT selected 0 factors. A given
+    ``r`` (0 included) is range-checked by ``pc_fit`` when ``fit`` is read.
+    """
+
+    panel: Panel
+    eig: SymEig
+    r: int
+    selection: FactorCountResult | None
+    threshold: float
+
+    @cached_property
+    def fit(self) -> PcFit | None:
+        if self.selection is not None and self.r == 0:
+            return None
+        return pc_fit(self.panel, self.r, eig=self.eig)
+
+    @cached_property
+    def sparse(self) -> SparseFit | None:
+        return None if self.fit is None else screen(self.fit, self.threshold)
+
+    @cached_property
+    def strength(self) -> StrengthEstimate | None:
+        return None if self.sparse is None else strengths(self.sparse, self.panel.n_series)
+
+
+def estimate(panel: Panel, r: int | None = None, rmax: int = DEFAULT_RMAX,
+             c: float = DEFAULT_C) -> Estimate:
+    """Decompose ``panel`` once and take ``r`` factors, SVT-selected when ``r`` is None.
+
+    The threshold ``c / sqrt(ln(NT))`` is computed first, so a bad ``c``
+    fails even when no factor is found.
+    """
+    threshold = threshold_value(panel.n_series, panel.n_periods, c)
+    eig = decompose(panel)
+    selection = None if r is not None else select_r_svt(panel, rmax=rmax, eig=eig)
+    r = r if selection is None else selection.r_hat
+    return Estimate(panel=panel, eig=eig, r=r, selection=selection, threshold=threshold)
+
+
+def sparse_summary(est: Estimate, c_multiplier: float) -> dict:
+    """JSON-ready summary of a fitted estimate: threshold, ``c``, counts, strengths, labels."""
     return {
-        "threshold": sparse.threshold,
+        "threshold": est.sparse.threshold,
         "c_multiplier": c_multiplier,
-        "counts": list(sparse.counts),
-        "alpha_hat": list(est.alpha_hat),
-        "labels": list(est.labels),
+        "counts": list(est.sparse.counts),
+        "alpha_hat": list(est.strength.alpha_hat),
+        "labels": list(est.strength.labels),
     }

@@ -17,7 +17,6 @@ serial runs aggregate identically.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import asdict, dataclass
 from concurrent.futures import ProcessPoolExecutor
 
@@ -27,8 +26,7 @@ from . import metrics as met
 from .errors import InvalidArgumentError
 from .factor_count import DEFAULT_RMAX, SELECTORS, check_rmax
 from .panel import Panel, standardize as _standardize_panel
-from .pca import StandardizationWarning, decompose, pc_fit
-from .screening import DEFAULT_C, screen, strengths, symm_diff_ratio, threshold_value
+from .screening import DEFAULT_C, estimate, symm_diff_ratio, threshold_value
 
 _STREAM_FACTORS = 0
 _STREAM_LOADINGS = 1
@@ -260,27 +258,24 @@ def simulate_panel(config: SimConfig, rep: int = 0) -> tuple[Panel, SimTruth]:
 
 
 def _replicate(args) -> met.ReplicationRecord:
-    config, rep, tasks, rmax, threshold = args
+    config, rep, tasks, rmax, c = args
     rec = met.ReplicationRecord(rep=rep)
     try:
-        with warnings.catch_warnings():
-            # raw-scale estimation is a deliberate choice here, not an oversight
-            warnings.simplefilter("ignore", StandardizationWarning)
-            return _replicate_inner(config, rep, tasks, rmax, threshold, rec)
+        return _replicate_inner(config, rep, tasks, rmax, c, rec)
     except Exception as exc:  # failures are per-replication cells, not batch aborts
         rec.error = f"{type(exc).__name__}: {exc}"
     return rec
 
 
-def _replicate_inner(config, rep, tasks, rmax, threshold, rec) -> met.ReplicationRecord:
+def _replicate_inner(config, rep, tasks, rmax, c, rec) -> met.ReplicationRecord:
     panel, truth = simulate_panel(config, rep=rep)
-    eig = decompose(panel)
+    est = estimate(panel, config.r, rmax=rmax, c=c)
     for tag, select in SELECTORS.items():
         if tag in tasks:
-            rec.r_hat[tag] = select(panel, rmax=rmax, eig=eig).r_hat
+            rec.r_hat[tag] = select(panel, rmax=rmax, eig=est.eig).r_hat
     if not tasks & {"fit", "sparsity", "rotation"}:
-        return rec
-    fit = pc_fit(panel, config.r, eig=eig)
+        return rec  # est.fit unread: no fit, so r may exceed min(N, T) here
+    fit = est.fit
     lam0_scaled, c0_scaled = truth.on_estimation_scale()
     if "fit" in tasks:
         rec.tr_f = met.trace_stat_f(truth.F0, fit.factors)
@@ -288,22 +283,15 @@ def _replicate_inner(config, rep, tasks, rmax, threshold, rec) -> met.Replicatio
         rec.rmse_c = met.rmse_c(c0_scaled, fit.common)
         rec.eigvals = tuple(float(v) for v in fit.eigvals)
     if "sparsity" in tasks:
-        sp = screen(fit, threshold)
-        rec.alpha_hat = strengths(sp, config.N).alpha_hat
-        fdrs, powers, sds = [], [], []
-        for k in range(config.r):
-            fdp, pw = met.fdr_power(truth.supports0[k], sp.supports[k])
-            fdrs.append(fdp)
-            powers.append(pw)
-            sds.append(
-                symm_diff_ratio(truth.supports0[k], sp.supports[k], config.alpha[k], config.N)
-            )
-        rec.fdr = tuple(fdrs)
-        rec.power = tuple(powers)
-        rec.sym_diff = tuple(sds)
+        supports = est.sparse.supports
+        rec.alpha_hat = est.strength.alpha_hat
+        per_factor = [met.fdr_power(s0, s) for s0, s in zip(truth.supports0, supports)]
+        rec.fdr = tuple(fdp for fdp, _ in per_factor)
+        rec.power = tuple(pw for _, pw in per_factor)
+        rec.sym_diff = tuple(symm_diff_ratio(s0, s, a, config.N)
+                             for s0, s, a in zip(truth.supports0, supports, config.alpha))
         rec.fdr_overall, rec.power_overall = met.pooled_fdr_power(
-            truth.supports0, sp.supports, config.N
-        )
+            truth.supports0, supports, config.N)
     if "rotation" in tasks:
         _, summary = met.rotation_q(fit.factors, truth.F0)
         rec.q_lower_abs = summary["lower_abs"]
@@ -343,8 +331,8 @@ def run_replications(
         check_rmax(tasks & SELECTORS.keys(), rmax, config.N, config.T)
     if tasks - SELECTORS.keys() and config.r > n_min:
         raise InvalidArgumentError(f"r must be at most min(N, T) = {n_min}, got {config.r}")
-    threshold = threshold_value(config.N, config.T, c_multiplier)
-    arglist = [(config, i, tasks, rmax, threshold) for i in range(R)]
+    threshold_value(config.N, config.T, c_multiplier)  # a bad c fails before any replication
+    arglist = [(config, i, tasks, rmax, c_multiplier) for i in range(R)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_replicate, arglist, chunksize=max(1, R // (8 * workers))))

@@ -140,8 +140,7 @@ class TestCriterion5AlgebraicIdentities:
             t = int(rng.integers(5, 60))
             r = int(rng.integers(1, min(n, t) + 1))
             x = rng.normal(size=(n, t))
-            panel = Panel(x, [f"s{i}" for i in range(n)], [f"t{j}" for j in range(t)],
-                          standardized=True)
+            panel = Panel(x, [f"s{i}" for i in range(n)], [f"t{j}" for j in range(t)])
             fit = pc_fit(panel, r)
             assert np.max(np.abs(fit.factors.T @ fit.factors / t - np.eye(r))) < 1e-8
             ll = fit.loadings.T @ fit.loadings / n

@@ -2,6 +2,7 @@ import hashlib
 import inspect
 import json
 import tempfile
+import warnings
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -266,15 +267,20 @@ SIM = ["simulate", "--N", "36", "--T", "36", "--r", "2", "--alpha", "0.9,0.7",
         (SIM + ["--T", "10", "--rmax", "8"], 1,
          "rmax must be at most min(N, T) - 5 = 5 for 'ed' (it reads rmax + 5 eigenvalues), got 8"),
         (["select-r", "--rmax", "36"], 1, "rmax must be at most min(N, T) - 5 = 35 for 'ed'"),
+        (["heatmap", "--start", "t010", "--end", "t010"], 1,
+         "standardizing needs at least 2 periods, got 1"),
     ],
 )
 def test_explicit_values_are_never_replaced_by_defaults(tmp_path, capsys, argv, code, fragment):
     if argv[0] != "simulate" and "--data" not in argv:
         argv = argv + ["--data", str(write_panel_csv(tmp_path / "panel.csv"))]
-    assert run_cli(argv + ["--out", str(tmp_path / "o")]) == code
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(argv + ["--out", str(tmp_path / "o")]) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert fragment in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]  # none reaches stderr
 
 
 def test_non_finite_cell_drops_the_series(tmp_path, capsys):

@@ -18,8 +18,7 @@ from sparsefactors.factor_count import diagnostics_json
 def panel_of(values):
     values = np.asarray(values, dtype=float)
     n, t = values.shape
-    return Panel(values, [f"s{i}" for i in range(n)], [f"t{j}" for j in range(t)],
-                 standardized=True)
+    return Panel(values, [f"s{i}" for i in range(n)], [f"t{j}" for j in range(t)])
 
 
 def low_rank_panel(n, t, rank, seed, noise=0.0, scale=5.0):

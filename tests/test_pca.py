@@ -17,16 +17,14 @@ from sparsefactors import (
     simulate_panel,
 )
 from sparsefactors.cli import run_cli
-from sparsefactors.pca import StandardizationWarning
 
 from jacobi_oracle import jacobi_eigh
 
 
-def panel_of(values, standardized=True):
+def panel_of(values):
     values = np.asarray(values, dtype=float)
     n, t = values.shape
-    return Panel(values, [f"s{i}" for i in range(n)], [f"t{j}" for j in range(t)],
-                 standardized=standardized)
+    return Panel(values, [f"s{i}" for i in range(n)], [f"t{j}" for j in range(t)])
 
 
 def random_panel(n, t, seed):
@@ -148,12 +146,6 @@ class TestPcFit:
             pc_fit(panel, 0)
         with pytest.raises(ValueError):
             pc_fit(panel, 6)
-
-    def test_warns_on_raw_panel(self):
-        rng = np.random.default_rng(8)
-        panel = panel_of(rng.normal(size=(6, 9)), standardized=False)
-        with pytest.warns(StandardizationWarning):
-            pc_fit(panel, 1)
 
     def test_export_headers(self):
         panel = random_panel(4, 6, seed=9)

@@ -5,8 +5,13 @@ import pytest
 
 from sparsefactors import (
     Panel,
+    SimConfig,
+    estimate,
     pc_fit,
     screen,
+    select_r_svt,
+    simulate_panel,
+    standardize,
     strengths,
     symm_diff_ratio,
     threshold_value,
@@ -157,8 +162,7 @@ class TestOnRealFit:
         idx = rng.choice(60, size=30, replace=False)
         lam[idx, 0] = rng.normal(size=30) * 3
         x = lam @ rng.normal(size=(1, 200)) + 0.1 * rng.normal(size=(60, 200))
-        panel = Panel(x, [f"s{i}" for i in range(60)], [f"t{j}" for j in range(200)],
-                      standardized=True)
+        panel = Panel(x, [f"s{i}" for i in range(60)], [f"t{j}" for j in range(200)])
         sp = screen(pc_fit(panel, 1), threshold_value(60, 200))
         est = strengths(sp, 60)
         # strong, well-separated loadings recovered nearly exactly
@@ -178,3 +182,63 @@ class TestRobustnessBand:
             means[c] = rep.aggregates["alpha_hat"][0]["mean"]
         assert abs(means[0.8] - means[1.0]) < 0.05
         assert abs(means[1.2] - means[1.0]) < 0.05
+
+
+def factor_panel():
+    panel, _ = simulate_panel(SimConfig(N=60, T=80, r=2, alpha=(0.9, 0.8), seed=21))
+    return standardize(panel)
+
+
+def noise_panel():
+    x = np.random.default_rng(0).normal(size=(40, 80))
+    return standardize(Panel(x, [f"s{i}" for i in range(40)], [f"t{j}" for j in range(80)]))
+
+
+class TestEstimate:
+    def test_given_r_matches_the_chain_by_hand(self):
+        panel = factor_panel()
+        est = estimate(panel, 2, c=1.5)
+        assert est.selection is None and est.r == 2
+        fit = pc_fit(panel, 2)
+        sp = screen(fit, threshold_value(60, 80, 1.5))
+        alpha = strengths(sp, 60)
+        assert np.array_equal(est.fit.factors, fit.factors)
+        assert np.array_equal(est.fit.loadings, fit.loadings)
+        assert np.array_equal(est.sparse.lambda_hat, sp.lambda_hat)
+        assert est.sparse.supports == sp.supports and est.threshold == sp.threshold
+        assert np.array_equal(est.strength.alpha_hat, alpha.alpha_hat)
+        assert est.strength.labels == alpha.labels
+
+    def test_r_none_is_the_svt_count(self):
+        panel = factor_panel()
+        est = estimate(panel, rmax=6)
+        assert est.r == select_r_svt(panel, rmax=6).r_hat > 0
+        assert est.selection.r_hat == est.r
+        assert est.fit.r == est.r
+
+    def test_svt_selected_zero_has_no_fit_but_explicit_zero_raises(self, pc_fit_calls):
+        panel = noise_panel()
+        est = estimate(panel)
+        assert est.r == 0 and est.selection is not None
+        assert est.fit is None and est.sparse is None and est.strength is None
+        assert pc_fit_calls == []
+        explicit = estimate(panel, 0)
+        with pytest.raises(ValueError, match=r"r must be in \[1, 40\], got 0"):
+            explicit.fit
+
+    def test_decomposes_exactly_once(self, eig_dims):
+        est = estimate(factor_panel())
+        est.strength
+        assert eig_dims == [60]
+
+    def test_fits_only_when_fit_is_read(self, pc_fit_calls):
+        est = estimate(factor_panel(), 2)
+        assert pc_fit_calls == []
+        est.strength
+        est.fit
+        assert len(pc_fit_calls) == 1
+
+    def test_bad_c_raises_before_decomposing(self, eig_dims):
+        with pytest.raises(ValueError, match="c must be positive, got 0"):
+            estimate(noise_panel(), c=0.0)
+        assert eig_dims == []

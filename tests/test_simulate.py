@@ -145,7 +145,6 @@ class TestSimulatePanel:
     def test_standardized_mode_invariants(self):
         cfg = SimConfig(N=32, T=60, r=2, alpha=(0.9, 0.7), seed=6, standardize=True)
         panel, truth = simulate_panel(cfg)
-        assert panel.standardized
         assert np.max(np.abs(panel.values.mean(axis=1))) < 1e-10
         assert np.max(np.abs(panel.values.var(axis=1, ddof=1) - 1.0)) < 1e-8
         assert truth.standardized
@@ -208,6 +207,12 @@ class TestRunReplications:
         report = run_replications(cfg, 3, rmax=4)  # every task
         assert report.aggregates["failed"] == 0
         assert len(pc_fit_calls) == 3
+
+    def test_selector_tasks_never_fit(self, pc_fit_calls):
+        cfg = SimConfig(N=40, T=6, r=8, alpha=(0.9,) * 8, seed=8)  # r > min(N, T)
+        report = run_replications(cfg, 2, tasks={"wz", "bn"}, rmax=4)
+        assert report.aggregates["failed"] == 0
+        assert pc_fit_calls == []
 
     def test_tasks_subset(self):
         cfg = SimConfig(N=40, T=40, r=2, alpha=(0.9, 0.7), seed=8)
@@ -272,7 +277,6 @@ class TestHeavyTails:
 
 
 class TestContiguousRotationScenario:
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_q21_small_relative_to_q22(self):
         # two overlapping contiguous supports, strengths (0.9, 0.7): the
         # estimated-to-true alignment is nearly upper triangular
