@@ -5,9 +5,11 @@ Subcommands: ``simulate``, ``estimate``, ``select-r``, ``strengths``,
 config file (``--config``), with command-line flags taking precedence.
 
 Each command maps its arguments to its output files and the resolved
-configuration. :func:`run_cli` alone writes them atomically (temp file +
-rename) together with a ``manifest.json`` holding the resolved
-configuration, the seed actually used, package versions, and wall time, and
+configuration (``rolling`` adds the number of window threads it used).
+:func:`run_cli` alone writes them atomically (temp file + rename) together
+with a ``manifest.json`` holding the resolved configuration, the seed
+actually used, package versions, the BLAS vendor and thread count (None
+when the BLAS is not recognised), any such run facts, and wall time, and
 maps the outcome to an exit status: 0 success; 1 for any
 :class:`~sparsefactors.errors.SparseFactorsError`, i.e. a bad file, flag or
 config value (the library raises :class:`InvalidArgumentError` for those),
@@ -30,12 +32,18 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _blas
 from .errors import InvalidArgumentError, SparseFactorsError
 from .factor_count import DEFAULT_RMAX, diagnostics_json, select_r
 from .panel import VALID_TCODES, align_and_trim, ingest_csv, standardize
 from .pca import export_pc_fit
-from .rolling import heatmap_to_csv, rolling_analysis, rolling_to_csv, subperiod_heatmap
+from .rolling import (
+    _window_threads,
+    heatmap_to_csv,
+    rolling_analysis,
+    rolling_to_csv,
+    subperiod_heatmap,
+)
 from .screening import DEFAULT_C, estimate, sparse_summary
 from .simulate import ALL_TASKS, SimConfig, run_replications
 
@@ -59,13 +67,15 @@ def _write_outputs(outdir: Path, files: dict, manifest: dict) -> None:
             f"cannot write output directory {outdir}: {exc.strerror}") from None
 
 
-def _manifest(subcommand: str, resolved: dict, t0: float) -> dict:
+def _manifest(subcommand: str, resolved: dict, facts: dict, t0: float) -> dict:
     return {
         "subcommand": subcommand,
         "config": resolved,
         "seed": resolved.get("seed"),
         "versions": {"python": sys.version.split()[0], "numpy": np.__version__,
                      "sparsefactors": __version__},
+        "blas": {"vendor": _blas.vendor(), "threads": _blas.threads()},
+        **facts,
         "wall_time_s": round(time.monotonic() - t0, 3),
     }
 
@@ -266,13 +276,14 @@ def _cmd_strengths(args) -> tuple[dict, dict]:
     return {"strengths.json": json.dumps(summary, indent=2) + "\n"}, _data_config(args, r=est.r)
 
 
-def _cmd_rolling(args) -> tuple[dict, dict]:
+def _cmd_rolling(args) -> tuple[dict, dict, dict]:
     panel = _load_panel(args)
     methods = args.methods.split(",")
     result = rolling_analysis(panel, window=args.window, methods=methods, rmax=args.rmax,
                               c_multiplier=args.c)
     files = {"rolling.csv": rolling_to_csv(result)}
-    return files, _data_config(args, window=args.window, methods=methods)
+    facts = {"window_threads": _window_threads(len(result.endpoints))}
+    return files, _data_config(args, window=args.window, methods=methods), facts
 
 
 def _cmd_heatmap(args) -> tuple[dict, dict]:
@@ -376,8 +387,9 @@ def run_cli(argv=None) -> int:
         return 0 if not exc.code else 1
     t0 = time.monotonic()
     try:
-        files, resolved = args.func(args)
-        _write_outputs(Path(args.out), files, _manifest(args.subcommand, resolved, t0))
+        files, resolved, *facts = args.func(args)  # facts: rolling's window thread count
+        _write_outputs(Path(args.out), files,
+                       _manifest(args.subcommand, resolved, dict(*facts), t0))
     except SparseFactorsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -47,12 +47,13 @@ class FactorCountResult:
 def check_rmax(methods, rmax: int, n: int, t: int) -> None:
     """Require that every rule in ``methods`` can read its eigenvalues of an N x T panel.
 
-    Each rule reads ``rmax + EXTRA_EIGENVALUES[method]`` of the min(N, T) eigenvalues.
+    Each rule reads ``rmax + EXTRA_EIGENVALUES[method]`` of the min(N, T) eigenvalues. The
+    message names the rule that reads the most, the first by name among equals.
     """
     m = min(n, t)
     if not 1 <= rmax <= m:
         raise InvalidArgumentError(f"rmax must be in [1, {m}], got {rmax}")
-    for method in sorted(methods, key=EXTRA_EIGENVALUES.__getitem__, reverse=True):
+    for method in sorted(methods, key=lambda x: (-EXTRA_EIGENVALUES[x], x)):
         extra = EXTRA_EIGENVALUES[method]
         if rmax + extra > m:
             raise InvalidArgumentError(
@@ -165,9 +166,10 @@ SELECTORS = {
     "ed": select_r_ed,
     "ah": select_r_ah,
 }
-# eigenvalues each rule reads beyond the first rmax: AH divides by mu_{rmax+1},
-# ED regresses on the five from rmax + 1 on
-EXTRA_EIGENVALUES = {"wz": 0, "bn": 0, "ed": 5, "ah": 1}
+# eigenvalues each rule reads beyond the first rmax: SVT and IC_p1 take V(rmax), the sum of
+# the eigenvalues past rmax (0 by construction when none is left), AH divides by
+# mu_{rmax+1}, ED regresses on the five from rmax + 1 on
+EXTRA_EIGENVALUES = {"wz": 1, "bn": 1, "ed": 5, "ah": 1}
 
 
 def select_r(panel: Panel, methods, rmax: int = DEFAULT_RMAX) -> dict[str, FactorCountResult]:

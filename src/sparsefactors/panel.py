@@ -329,13 +329,13 @@ def standardize(panel: Panel) -> Panel:
         raise InsufficientSampleError(
             f"standardizing needs at least 2 periods, got {panel.n_periods}")
     x = panel.values
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = x.mean(axis=1, keepdims=True)
-        sd = x.std(axis=1, ddof=1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):  # np.std(ddof=1)'s arithmetic, mean taken once
+        dev = x - x.mean(axis=1, keepdims=True)
+        sd = np.sqrt(np.add.reduce(dev * dev, axis=1, keepdims=True) / (panel.n_periods - 1))
     bad = np.nonzero(~((0.0 < sd) & (sd < np.inf)).ravel())[0]  # 0, inf, or NaN from an inf mean
     if bad.size:
         why = "is constant" if sd.flat[bad[0]] == 0.0 else "overflows in its mean or variance"
         raise DegenerateSeriesError(
             f"series {panel.series_ids[bad[0]]!r} {why} and cannot be standardized"
         )
-    return replace(panel, values=(x - mean) / sd)
+    return replace(panel, values=dev / sd)

@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import csv
 import io
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import _blas
 from .errors import InvalidArgumentError
 from .factor_count import DEFAULT_RMAX, SELECTORS
 from .panel import Panel, standardize
@@ -63,7 +66,9 @@ def rolling_analysis(
     Windows are ``[t - window + 1, t]`` for ``t = window .. T``; each is
     re-standardized before estimation. Strengths are computed at the
     SVT-selected count (the "wz" method is always run for that purpose) and
-    windows with no detected factor are flagged.
+    windows with no detected factor are flagged. Windows run on as many
+    threads as the BLAS had, with the BLAS held to one thread meanwhile and
+    restored afterwards; the result is the same for any thread count.
     """
     if window > panel.n_periods:
         raise InvalidArgumentError(f"window {window} exceeds panel length {panel.n_periods}")
@@ -73,27 +78,39 @@ def rolling_analysis(
     unknown = [m for m in methods if m not in SELECTORS]
     if unknown:
         raise InvalidArgumentError(f"unknown methods {unknown}")
-    endpoints, notes, strengths_out = [], [], []
-    r_series: dict = {m: [] for m in methods}
-    for t in range(window, panel.n_periods + 1):
+    ends = range(window, panel.n_periods + 1)
+
+    def one_window(t):
+        """(r_hat per method, strengths sorted nonincreasing, degenerate flag) of window ``t``."""
         sl = slice(t - window, t)
         win = replace(panel, values=panel.values[:, sl], time_ids=panel.time_ids[sl])
         est = estimate(standardize(win), rmax=rmax, c=c_multiplier)  # est.r is the "wz" count
-        for m in methods:
-            r_series[m].append(
-                est.r if m == "wz" else SELECTORS[m](est.panel, rmax=rmax, eig=est.eig).r_hat)
-        degenerate = est.fit is None
-        strengths_out.append(
-            () if degenerate else tuple(sorted(est.strength.alpha_hat, reverse=True)))
-        notes.append("degenerate: r_hat = 0" if degenerate else "")
-        endpoints.append(panel.time_ids[t - 1])
+        r_hats = tuple(
+            est.r if m == "wz" else SELECTORS[m](est.panel, rmax=rmax, eig=est.eig).r_hat
+            for m in methods)
+        if est.fit is None:
+            return r_hats, (), True
+        return r_hats, tuple(sorted(est.strength.alpha_hat, reverse=True)), False
+
+    # Windows are independent and numpy releases the GIL in the Gram and eigh. Each window's
+    # BLAS runs on one thread, so the result does not depend on the number of window threads.
+    threads = _window_threads(len(ends))  # read before pinning, which would make it 1
+    with _blas.single_threaded(), ThreadPoolExecutor(threads) as pool:
+        r_hats, strengths_out, degenerate = zip(*pool.map(one_window, ends))
     return RollingResult(
         window_length=window,
-        endpoints=tuple(endpoints),
-        r_hat_series={m: tuple(v) for m, v in r_series.items()},
-        strength_series=tuple(strengths_out),
-        notes=tuple(notes),
+        endpoints=tuple(panel.time_ids[t - 1] for t in ends),
+        r_hat_series=dict(zip(methods, zip(*r_hats))),
+        strength_series=strengths_out,
+        notes=tuple("degenerate: r_hat = 0" if d else "" for d in degenerate),
     )
+
+
+def _window_threads(n_windows: int) -> int:
+    """Threads for ``n_windows`` windows: the BLAS's own thread count, capped by the usable
+    CPUs and by ``n_windows``; 1 when the BLAS is not recognised."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(_blas.threads() or 1, cpus or 1, n_windows)
 
 
 def rolling_to_csv(result: RollingResult) -> str:

@@ -3,6 +3,7 @@ import sys
 import pytest
 
 import sparsefactors.pca as pca
+from sparsefactors import _blas
 
 
 def _record_calls(monkeypatch, name, record):
@@ -32,3 +33,11 @@ def eig_dims(monkeypatch):
     dims = []
     _record_calls(monkeypatch, "eig_sym_desc", lambda matrix: dims.append(len(matrix)))
     return dims
+
+
+@pytest.fixture(autouse=True)
+def blas_threads_unchanged():
+    """Every test leaves the process's BLAS thread count as it found it."""
+    before = _blas.threads()
+    yield
+    assert _blas.threads() == before, "the BLAS thread count was not restored"

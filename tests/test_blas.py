@@ -1,0 +1,80 @@
+import sys
+import threading
+import time
+
+import pytest
+
+from sparsefactors import _blas
+
+needs_blas = pytest.mark.skipif(_blas.threads() is None, reason="BLAS not recognised")
+
+
+@pytest.fixture
+def two_threads():
+    """Set the BLAS to two threads for the test, then put back the count found."""
+    get, set_ = _blas._library()
+    before = get()
+    set_(2)
+    yield
+    set_(before)
+
+
+@needs_blas
+def test_single_threaded_pins_and_restores(two_threads):
+    with _blas.single_threaded():
+        assert _blas.threads() == 1
+    assert _blas.threads() == 2
+
+
+@needs_blas
+def test_restored_when_the_block_raises(two_threads):
+    with pytest.raises(KeyError):
+        with _blas.single_threaded():
+            raise KeyError("boom")
+    assert _blas.threads() == 2
+
+
+@needs_blas
+def test_overlapping_regions_restore_on_the_last_exit(two_threads):
+    outer, inner = _blas.single_threaded(), _blas.single_threaded()
+    outer.__enter__()
+    inner.__enter__()
+    outer.__exit__(None, None, None)  # closes first, as when two threads overlap
+    assert _blas.threads() == 1
+    inner.__exit__(None, None, None)
+    assert _blas.threads() == 2
+
+
+@needs_blas
+def test_many_threads_entering_and_leaving_restore_the_count(two_threads):
+    seen, errors = [], []
+
+    def churn():
+        try:
+            for _ in range(200):
+                with _blas.single_threaded():
+                    time.sleep(0)  # let another thread enter or leave meanwhile
+                    seen.append(_blas.threads())
+        except Exception as exc:  # reported by the assert below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=churn) for _ in range(8)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers) and not errors
+    assert seen == [1] * 1600  # pinned inside every region
+    assert _blas.threads() == 2  # and restored once the last one closed
+
+
+def test_unrecognised_blas_is_left_alone(monkeypatch):
+    monkeypatch.setattr(_blas, "_library", lambda: None)
+    assert _blas.threads() is None
+    with _blas.single_threaded():
+        assert _blas.threads() is None

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparsefactors import SimConfig, export_csv, run_replications, simulate_panel
+from sparsefactors import SimConfig, _blas, export_csv, run_replications, simulate_panel
 from sparsefactors.cli import run_cli
 
 DATA = Path(__file__).parent / "data"
@@ -269,6 +269,8 @@ SIM = ["simulate", "--N", "36", "--T", "36", "--r", "2", "--alpha", "0.9,0.7",
         (["select-r", "--rmax", "36"], 1, "rmax must be at most min(N, T) - 5 = 35 for 'ed'"),
         (["heatmap", "--start", "t010", "--end", "t010"], 1,
          "standardizing needs at least 2 periods, got 1"),
+        (["select-r", "--methods", "wz,bn", "--rmax", "40"], 1,
+         "rmax must be at most min(N, T) - 1 = 39 for 'bn' (it reads rmax + 1 eigenvalues), got 40"),
     ],
 )
 def test_explicit_values_are_never_replaced_by_defaults(tmp_path, capsys, argv, code, fragment):
@@ -281,6 +283,23 @@ def test_explicit_values_are_never_replaced_by_defaults(tmp_path, capsys, argv, 
     assert err.startswith("error: ")
     assert fragment in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]  # none reaches stderr
+
+
+@pytest.mark.parametrize("command", [["select-r"], ["rolling", "--window", "50"]])
+def test_manifest_records_the_blas(tmp_path, monkeypatch, command):
+    data = write_panel_csv(tmp_path / "panel.csv")
+    for recognised in (True, False):
+        if not recognised:
+            monkeypatch.setattr(_blas, "_library", lambda: None)
+        out = tmp_path / str(recognised)
+        assert run_cli(command + ["--data", str(data), "--rmax", "4", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["blas"] == {"vendor": _blas.vendor(), "threads": _blas.threads()}
+        if command[0] == "rolling":
+            assert 1 <= manifest["window_threads"] <= (_blas.threads() or 1)
+        else:
+            assert "window_threads" not in manifest
+    assert manifest["blas"]["threads"] is None
 
 
 def test_non_finite_cell_drops_the_series(tmp_path, capsys):

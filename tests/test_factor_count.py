@@ -147,6 +147,14 @@ class TestSharedInterface:
             select_r(panel, ["ah", "ed", "wz"], rmax=8)
         assert eig_dims == [12]  # only the run that passed decomposed
 
+    @pytest.mark.parametrize("select", [select_r_svt, select_r_icp1])
+    def test_rmax_must_leave_an_eigenvalue_for_the_residual_variance(self, select):
+        # V(rmax) sums the eigenvalues past rmax, so it is 0 by construction at rmax = min(N, T)
+        panel = panel_of(np.random.default_rng(16).normal(size=(40, 120)))
+        with pytest.raises(ValueError, match=r"min\(N, T\) - 1 = 39 for '(wz|bn)'.*got 40"):
+            select(panel, rmax=40)
+        assert not select(panel, rmax=39).notes  # no false "rank-deficient" path
+
     def test_unknown_method_rejected(self):
         panel = low_rank_panel(30, 30, rank=1, seed=13, noise=0.5)
         with pytest.raises(ValueError, match="unknown"):

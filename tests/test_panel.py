@@ -241,6 +241,18 @@ class TestStandardize:
         assert np.max(np.abs(out.values.mean(axis=1))) < 1e-10
         assert np.max(np.abs(out.values.var(axis=1, ddof=1) - 1.0)) < 1e-8
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bit_identical_to_mean_and_std(self, seed):
+        rng = np.random.default_rng(seed)
+        n, t = rng.integers(2, 250, size=2)
+        full = rng.standard_t(3, size=(n, t + 30)) * 10.0 ** rng.integers(-4, 5) + 40.0
+        for values in (full[:, :t], full[:, 7 : 7 + t], full[:, 7 : 7 + t : 2]):
+            panel = Panel(values, [f"s{i}" for i in range(n)],
+                          [f"t{j}" for j in range(values.shape[1])])
+            x = panel.values
+            expected = (x - x.mean(axis=1, keepdims=True)) / x.std(axis=1, ddof=1, keepdims=True)
+            assert np.array_equal(standardize(panel).values, expected)
+
     def test_constant_series_is_named(self):
         vals = np.vstack([np.ones(10), np.arange(10.0)])
         panel = Panel(vals, ["flat", "ok"], [f"t{j}" for j in range(10)])

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+import sparsefactors.rolling as rolling
+from sparsefactors import _blas
 from sparsefactors import (
+    DegenerateSeriesError,
     InvalidArgumentError,
     Panel,
     SimConfig,
@@ -90,6 +93,66 @@ class TestRollingAnalysis:
         lines = rolling_to_csv(result).splitlines()
         assert lines[0].startswith("endpoint,r_hat_bn,r_hat_wz")
         assert len(lines) == 1 + len(result.endpoints)
+
+
+def windows_on(monkeypatch, k):
+    """Make rolling_analysis run its windows on ``k`` threads."""
+    monkeypatch.setattr(rolling, "_window_threads", lambda n_windows: k)
+
+
+class TestWindowThreads:
+    def test_result_independent_of_thread_count(self, monkeypatch):
+        panel, _ = sim_panel(60, 90, seed=15)
+        results = []
+        for k in (1, 2, 3):
+            windows_on(monkeypatch, k)
+            results.append(rolling_analysis(panel, window=50, methods=("wz", "bn", "ed", "ah"),
+                                            rmax=5))
+        assert results[0] == results[1] == results[2]
+        assert any(results[0].strength_series)
+
+    @pytest.mark.skipif(_blas.threads() is None, reason="BLAS not recognised")
+    def test_blas_on_one_thread_inside_windows_then_restored(self, monkeypatch):
+        windows_on(monkeypatch, 2)
+        seen = []
+
+        def recording(panel):
+            seen.append(_blas.threads())
+            return standardize(panel)
+
+        monkeypatch.setattr(rolling, "standardize", recording)
+        before = _blas.threads()
+        panel, _ = sim_panel(30, 60, seed=16)
+        rolling_analysis(panel, window=40, rmax=4)
+        assert seen == [1] * 21
+        assert _blas.threads() == before
+
+    def test_failing_window_raises_the_same_error_for_any_thread_count(self, monkeypatch):
+        panel, _ = sim_panel(30, 80, seed=17)
+        values = np.array(panel.values)
+        values[4, 30:55] = 2.5  # constant on the window of periods 30..54
+        values[9, 50:75] = -1.0  # and another series on a later window
+        panel = Panel(values, panel.series_ids, panel.time_ids)
+        before = _blas.threads()
+        messages = []
+        for k in (1, 2):
+            windows_on(monkeypatch, k)
+            with pytest.raises(DegenerateSeriesError) as info:
+                rolling_analysis(panel, window=25, rmax=4)
+            messages.append(str(info.value))
+            assert _blas.threads() == before
+        assert messages[0] == messages[1]
+        assert f"series {panel.series_ids[4]!r} is constant" in messages[0]  # the earlier window
+
+    def test_unrecognised_blas_means_one_thread(self, monkeypatch):
+        monkeypatch.setattr(_blas, "_library", lambda: None)
+        assert rolling._window_threads(141) == 1
+        panel, _ = sim_panel(30, 50, seed=18)
+        assert len(rolling_analysis(panel, window=40, rmax=4).endpoints) == 11
+
+    def test_thread_count_capped_by_windows_and_blas(self):
+        assert rolling._window_threads(1) == 1
+        assert 1 <= rolling._window_threads(141) <= (_blas.threads() or 1)
 
 
 class TestSubperiodHeatmap:
