@@ -53,6 +53,17 @@ def vendor() -> str:
         return "unknown"
 
 
+def pin_process() -> None:
+    """Hold the BLAS to one thread for the rest of this process; a worker pool's initializer.
+
+    Spawned and forkserver workers start from the BLAS's default count, not the parent's,
+    so each worker pins itself. Does nothing to a BLAS that is not recognised.
+    """
+    lib = _library()
+    if lib is not None:
+        lib[1](1)
+
+
 @contextmanager
 def single_threaded():
     """Run the block with BLAS on one thread, then restore the count found on entry.

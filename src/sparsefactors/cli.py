@@ -5,7 +5,9 @@ Subcommands: ``simulate``, ``estimate``, ``select-r``, ``strengths``,
 config file (``--config``), with command-line flags taking precedence.
 
 Each command maps its arguments to its output files and the resolved
-configuration (``rolling`` adds the number of window threads it used).
+configuration (``rolling`` adds the number of window threads it used,
+``simulate`` the workers used, their start method and the BLAS thread count
+the replications ran on).
 :func:`run_cli` alone writes them atomically (temp file + rename) together
 with a ``manifest.json`` holding the resolved configuration, the seed
 actually used, package versions, the BLAS vendor and thread count (None
@@ -188,7 +190,7 @@ def _read_tcodes(path, series_ids) -> list:
     return [mapping[s] for s in series_ids]
 
 
-def _cmd_simulate(args) -> tuple[dict, dict]:
+def _cmd_simulate(args) -> tuple[dict, dict, dict]:
     resolved = _resolve(args)
     if resolved["seed"] is None:
         resolved["seed"] = secrets.randbits(63)  # recorded in the manifest so the run is replayable
@@ -197,7 +199,10 @@ def _cmd_simulate(args) -> tuple[dict, dict]:
                               **{kw: resolved[key] for key, kw in _RUN_KEYWORDS.items()})
     files = {"report.json": json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"}
     files.update(_report_tables(report, config))
-    return files, resolved
+    run = report.run  # the count the replications ran on, not the one restored afterwards
+    facts = {"workers": run["workers"], "start_method": run["start_method"],
+             "blas": {"vendor": _blas.vendor(), "threads": run["blas_threads"]}}
+    return files, resolved, facts
 
 
 def _csv_text(rows) -> str:
@@ -387,7 +392,7 @@ def run_cli(argv=None) -> int:
         return 0 if not exc.code else 1
     t0 = time.monotonic()
     try:
-        files, resolved, *facts = args.func(args)  # facts: rolling's window thread count
+        files, resolved, *facts = args.func(args)  # facts: how rolling or simulate ran
         _write_outputs(Path(args.out), files,
                        _manifest(args.subcommand, resolved, dict(*facts), t0))
     except SparseFactorsError as exc:

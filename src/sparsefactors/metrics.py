@@ -127,11 +127,16 @@ class ReplicationRecord:
 
 @dataclass
 class MetricsReport:
-    """Per-replication records plus exact aggregate statistics."""
+    """Per-replication records plus exact aggregate statistics.
+
+    ``run`` holds facts about how the batch ran (see ``run_replications``); it is not part
+    of :meth:`to_json`, so the report does not depend on them.
+    """
 
     config: dict
     per_rep: list
     aggregates: dict
+    run: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
         # q_lower_abs has tuple keys (not JSON); aggregates["median_q_lower_abs"] summarizes it

@@ -10,19 +10,22 @@ covariance: 4 x 4 identity blocks except ``floor(N^0.3)`` randomly chosen
 blocks with Toeplitz ``0.5^|m-n|`` correlation.
 
 Every draw is a pure function of ``(seed, shape parameters)``: replication i
-derives its generator streams from ``(seed, i, stream_id)``, so parallel and
-serial runs aggregate identically.
+derives its generator streams from ``(seed, i, stream_id)``, so it is the same
+on any thread or process. Every estimate runs with the BLAS on one thread, so
+parallel and serial runs aggregate identically.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
 from dataclasses import asdict, dataclass
-from concurrent.futures import ProcessPoolExecutor
+from functools import lru_cache
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
 
-from . import metrics as met
+from . import _blas, metrics as met
 from .errors import InvalidArgumentError
 from .factor_count import DEFAULT_RMAX, SELECTORS, check_rmax
 from .panel import Panel, standardize as _standardize_panel
@@ -145,10 +148,9 @@ def gen_factors(t: int, r: int, seed, burn_in: int = SimConfig.burn_in) -> np.nd
     rng = _rng(seed)
     total = burn_in + t
     innov = rng.standard_normal(total)
-    f1 = np.empty(total)
-    f1[0] = rng.normal(0.0, math.sqrt(4.0 / 3.0))  # stationary start, var 1/(1-0.25)
-    for s in range(1, total):
-        f1[s] = 0.5 * f1[s - 1] + innov[s]
+    f1 = [rng.normal(0.0, math.sqrt(4.0 / 3.0))]  # stationary start, var 1/(1-0.25)
+    for v in innov[1:].tolist():  # Python floats: the same arithmetic without numpy's scalar overhead
+        f1.append(0.5 * f1[-1] + v)
     out = np.empty((t, r))
     out[:, 0] = f1[burn_in:]
     for k in range(2, r + 1):
@@ -205,19 +207,27 @@ def gen_errors(n: int, t: int, seed):
     chosen = set(rng.choice(n_full, size=min(n_corr, n_full), replace=False).tolist())
     toe = toeplitz_block()
     chol = np.linalg.cholesky(toe)
-    z = rng.standard_t(5, size=(n, t)) * math.sqrt(3.0 / 5.0)
-    e = z.copy()
+    e = rng.standard_t(5, size=(n, t))  # scaled and mixed in place: no second N x T array
+    e *= math.sqrt(3.0 / 5.0)
     blocks = []
     for b in range(n_full):
         sl = slice(4 * b, 4 * b + 4)
         if b in chosen:
-            e[sl] = chol @ z[sl]
+            e[sl] = chol @ e[sl]
             blocks.append((4 * b, toe.copy()))
         else:
             blocks.append((4 * b, np.eye(4)))
     if n % 4:
         blocks.append((4 * n_full, np.eye(n % 4)))
     return e, tuple(blocks)
+
+
+@lru_cache(maxsize=8)
+def _labels(prefix: str, count: int) -> tuple:
+    """``prefix`` followed by 1, 2, ..., ``count`` zero-padded to three digits. Built once per
+    design: formatting them is pure Python, which a drawing helper thread would run under the
+    GIL that the estimating thread needs."""
+    return tuple(f"{prefix}{i + 1:03d}" for i in range(count))
 
 
 def simulate_panel(config: SimConfig, rep: int = 0) -> tuple[Panel, SimTruth]:
@@ -236,14 +246,10 @@ def simulate_panel(config: SimConfig, rep: int = 0) -> tuple[Panel, SimTruth]:
         support_mode=config.support_mode,
         ranges=config.contiguous_ranges,
     )
-    e, _ = gen_errors(config.N, config.T, (*base, _STREAM_ERRORS))
+    x, _ = gen_errors(config.N, config.T, (*base, _STREAM_ERRORS))
     c0 = lam0 @ f0.T
-    x = c0 + e
-    panel = Panel(
-        values=x,
-        series_ids=tuple(f"s{i + 1:03d}" for i in range(config.N)),
-        time_ids=tuple(f"t{s + 1:03d}" for s in range(config.T)),
-    )
+    x += c0  # the panel is built in the errors' array
+    panel = Panel(values=x, series_ids=_labels("s", config.N), time_ids=_labels("t", config.T))
     loc = np.zeros(config.N)
     scale = np.ones(config.N)
     if config.standardize:
@@ -257,18 +263,20 @@ def simulate_panel(config: SimConfig, rep: int = 0) -> tuple[Panel, SimTruth]:
     return panel, truth
 
 
-def _replicate(args) -> met.ReplicationRecord:
+def _replicate(args, drawn=None) -> met.ReplicationRecord:
+    """The record of one replication. ``drawn`` is the future of its ``(panel, truth)`` when
+    another thread draws them; without it the replication draws its own."""
     config, rep, tasks, rmax, c = args
     rec = met.ReplicationRecord(rep=rep)
-    try:
-        return _replicate_inner(config, rep, tasks, rmax, c, rec)
-    except Exception as exc:  # failures are per-replication cells, not batch aborts
+    try:  # a failed draw or estimate is this replication's error cell, not a batch abort
+        panel, truth = simulate_panel(config, rep) if drawn is None else drawn.result()
+        return _replicate_inner(config, panel, truth, tasks, rmax, c, rec)
+    except Exception as exc:
         rec.error = f"{type(exc).__name__}: {exc}"
     return rec
 
 
-def _replicate_inner(config, rep, tasks, rmax, c, rec) -> met.ReplicationRecord:
-    panel, truth = simulate_panel(config, rep=rep)
+def _replicate_inner(config, panel, truth, tasks, rmax, c, rec) -> met.ReplicationRecord:
     est = estimate(panel, config.r, rmax=rmax, c=c)
     for tag, select in SELECTORS.items():
         if tag in tasks:
@@ -312,7 +320,13 @@ def run_replications(
     ``tasks`` is a subset of :data:`ALL_TASKS`: the factor-count rules of
     :data:`~sparsefactors.factor_count.SELECTORS` plus "fit", "sparsity" and
     "rotation". Replication i always uses streams derived from
-    ``(config.seed, i)``, so the report is identical for any worker count.
+    ``(config.seed, i)``, and the whole batch runs with the BLAS on one thread
+    (in this process and in every worker, restored afterwards), so the report
+    is identical for any worker count. With one worker a helper thread draws
+    replication i + 1 while replication i is estimated. ``report.run`` records
+    the workers used (at most R), the start method of the worker processes
+    (None when none was started) and the BLAS thread count the replications
+    ran on (None when the BLAS is not recognised).
     """
     if R < 1:
         raise InvalidArgumentError(f"R must be positive, got {R}")
@@ -333,13 +347,34 @@ def run_replications(
         raise InvalidArgumentError(f"r must be at most min(N, T) = {n_min}, got {config.r}")
     threshold_value(config.N, config.T, c_multiplier)  # a bad c fails before any replication
     arglist = [(config, i, tasks, rmax, c_multiplier) for i in range(R)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_replicate, arglist, chunksize=max(1, R // (8 * workers))))
-    else:
-        records = [_replicate(a) for a in arglist]
+    workers = min(workers, R)
+    with _blas.single_threaded():
+        blas_threads = _blas.threads()
+        if workers > 1:  # the processes fill the cores, so each draws its own panels
+            with ProcessPoolExecutor(max_workers=workers, initializer=_blas.pin_process) as pool:
+                records = list(pool.map(_replicate, arglist, chunksize=max(1, R // (8 * workers))))
+        else:
+            records = _replicate_drawing_ahead(arglist)
     records.sort(key=lambda rec: rec.rep)
     agg = met.aggregate(records, config.r, config.alpha)
     report_config = {**asdict(config), "rmax": rmax, "c_multiplier": c_multiplier,
                      "tasks": sorted(tasks)}
-    return met.MetricsReport(config=report_config, per_rep=records, aggregates=agg)
+    # read only once a pool has fixed it: reading it fixes it, and later set_start_method fails
+    start_method = multiprocessing.get_start_method() if workers > 1 else None
+    run = {"workers": workers, "start_method": start_method, "blas_threads": blas_threads}
+    return met.MetricsReport(config=report_config, per_rep=records, aggregates=agg, run=run)
+
+
+def _replicate_drawing_ahead(arglist) -> list:
+    """Records of the replications in ``arglist``, in order, each estimated on this thread
+    while a helper thread draws the next one's panel (numpy's generators release the GIL).
+    At most one drawn panel waits, so memory grows by one panel and its truth."""
+    records = []
+    with ThreadPoolExecutor(1) as helper:
+        drawn = helper.submit(simulate_panel, *arglist[0][:2])  # (config, rep)
+        for i, args in enumerate(arglist):
+            current = drawn
+            if i + 1 < len(arglist):
+                drawn = helper.submit(simulate_panel, *arglist[i + 1][:2])
+            records.append(_replicate(args, current))
+    return records

@@ -1,5 +1,8 @@
+import json
+import multiprocessing
 import pickle
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ import pytest
 from sparsefactors import (
     Panel,
     SimConfig,
+    _blas,
     gen_errors,
     gen_factors,
     gen_loadings,
@@ -191,16 +195,81 @@ class TestRunReplications:
 
         real = sim._replicate_inner
 
-        def flaky(config, rep, tasks, rmax, c_mult, rec):
-            if rep == 1:
+        def flaky(config, panel, truth, tasks, rmax, c_mult, rec):
+            if rec.rep == 1:
                 raise RuntimeError("boom")
-            return real(config, rep, tasks, rmax, c_mult, rec)
+            return real(config, panel, truth, tasks, rmax, c_mult, rec)
 
         monkeypatch.setattr(sim, "_replicate_inner", flaky)
         cfg = SimConfig(N=36, T=36, r=2, alpha=(0.9, 0.7), seed=4)
         report = run_replications(cfg, 3, rmax=4)
         assert report.aggregates["failed"] == 1
         assert report.per_rep[1].error == "RuntimeError: boom"
+
+    @pytest.mark.skipif(_blas.threads() is None, reason="BLAS not recognised")
+    def test_report_does_not_depend_on_workers_or_the_callers_blas_threads(self):
+        # at this size the BLAS thread count changes eigh's roundoff, so the batch must pin it
+        cfg = SimConfig(N=300, T=300, r=3, alpha=(0.9, 0.75, 0.6), seed=13)
+        get, set_ = _blas._library()
+        before, reports = get(), {}
+        try:
+            for workers in (1, 2):
+                for caller_threads in (1, 2):
+                    set_(caller_threads)
+                    reports[workers, caller_threads] = run_replications(cfg, 3, rmax=8, workers=workers)
+        finally:
+            set_(before)
+        texts = {json.dumps(rep.to_json(), sort_keys=True) for rep in reports.values()}
+        assert len(texts) == 1
+        assert reports[1, 2].aggregates["failed"] == 0
+        assert reports[1, 2].run == {"workers": 1, "start_method": None, "blas_threads": 1}
+        assert reports[2, 2].run == {"workers": 2, "blas_threads": 1,
+                                     "start_method": multiprocessing.get_start_method()}
+
+    def test_failed_draw_is_that_replications_error(self, monkeypatch):
+        import sparsefactors.simulate as sim
+
+        real = sim.simulate_panel
+
+        def flaky(config, rep):
+            if rep == 1:
+                raise RuntimeError("draw failed")
+            return real(config, rep)
+
+        monkeypatch.setattr(sim, "simulate_panel", flaky)
+        cfg = SimConfig(N=36, T=36, r=2, alpha=(0.9, 0.7), seed=4)
+        report = run_replications(cfg, 3, rmax=4)
+        assert [rec.error for rec in report.per_rep] == [None, "RuntimeError: draw failed", None]
+        assert report.per_rep[0].tr_f is not None and report.per_rep[2].tr_f is not None
+
+    @pytest.mark.skipif(_blas.threads() is None, reason="BLAS not recognised")
+    def test_blas_on_one_thread_on_the_draw_and_the_estimate_thread(self, monkeypatch):
+        import sparsefactors.simulate as sim
+
+        seen = []
+
+        def recording(stage, real):
+            def wrapped(*args, **kwargs):
+                seen.append((stage, threading.get_ident(), _blas.threads()))
+                return real(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(sim, "simulate_panel", recording("draw", sim.simulate_panel))
+        monkeypatch.setattr(sim, "estimate", recording("estimate", sim.estimate))
+        get, set_ = _blas._library()
+        before = get()
+        set_(2)  # so that a missing pin would show
+        try:
+            report = run_replications(SimConfig(N=36, T=36, r=2, alpha=(0.9, 0.7), seed=4), 3, rmax=4)
+            assert _blas.threads() == 2
+        finally:
+            set_(before)
+        assert report.aggregates["failed"] == 0 and report.run["blas_threads"] == 1
+        assert sorted(stage for stage, _, _ in seen) == ["draw"] * 3 + ["estimate"] * 3
+        assert {n for _, _, n in seen} == {1}
+        caller = threading.get_ident()
+        assert {ident for stage, ident, _ in seen if stage == "estimate"} == {caller}
+        assert caller not in {ident for stage, ident, _ in seen if stage == "draw"}
 
     def test_one_pc_fit_per_replication(self, pc_fit_calls):
         cfg = SimConfig(N=40, T=40, r=2, alpha=(0.9, 0.7), seed=8)
