@@ -4,6 +4,11 @@ numpy wheels ship OpenBLAS as ``numpy.libs/libscipy_openblas*.so``, which
 exports ``scipy_openblas_get_num_threads64_`` and
 ``scipy_openblas_set_num_threads64_``. Any other BLAS is not recognised: its
 thread count reads None and :func:`single_threaded` leaves it alone.
+
+Work that runs in parallel does so on threads inside :func:`single_threaded`, on a
+pool of :func:`pool_size` threads: numpy releases the interpreter lock in the BLAS
+calls, and one BLAS thread per pool thread keeps the roundoff independent of the
+pool's size.
 """
 
 from __future__ import annotations
@@ -53,15 +58,11 @@ def vendor() -> str:
         return "unknown"
 
 
-def pin_process() -> None:
-    """Hold the BLAS to one thread for the rest of this process; a worker pool's initializer.
-
-    Spawned and forkserver workers start from the BLAS's default count, not the parent's,
-    so each worker pins itself. Does nothing to a BLAS that is not recognised.
-    """
-    lib = _library()
-    if lib is not None:
-        lib[1](1)
+def pool_size(requested: int, items: int) -> int:
+    """Threads for a pool over ``items`` items: ``requested``, capped by the usable CPUs and
+    by ``items``, so no thread is started that could not run or would find nothing to do."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(requested, cpus or 1, items)
 
 
 @contextmanager

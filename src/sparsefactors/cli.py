@@ -6,8 +6,8 @@ config file (``--config``), with command-line flags taking precedence.
 
 Each command maps its arguments to its output files and the resolved
 configuration (``rolling`` adds the number of window threads it used,
-``simulate`` the workers used, their start method and the BLAS thread count
-the replications ran on).
+``simulate`` the number of worker threads used and the BLAS thread count the
+replications ran on).
 :func:`run_cli` alone writes them atomically (temp file + rename) together
 with a ``manifest.json`` holding the resolved configuration, the seed
 actually used, package versions, the BLAS vendor and thread count (None
@@ -39,13 +39,7 @@ from .errors import InvalidArgumentError, SparseFactorsError
 from .factor_count import DEFAULT_RMAX, diagnostics_json, select_r
 from .panel import VALID_TCODES, align_and_trim, ingest_csv, standardize
 from .pca import export_pc_fit
-from .rolling import (
-    _window_threads,
-    heatmap_to_csv,
-    rolling_analysis,
-    rolling_to_csv,
-    subperiod_heatmap,
-)
+from .rolling import heatmap_to_csv, rolling_analysis, rolling_to_csv, subperiod_heatmap
 from .screening import DEFAULT_C, estimate, sparse_summary
 from .simulate import ALL_TASKS, SimConfig, run_replications
 
@@ -200,7 +194,7 @@ def _cmd_simulate(args) -> tuple[dict, dict, dict]:
     files = {"report.json": json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"}
     files.update(_report_tables(report, config))
     run = report.run  # the count the replications ran on, not the one restored afterwards
-    facts = {"workers": run["workers"], "start_method": run["start_method"],
+    facts = {"workers": run["workers"],
              "blas": {"vendor": _blas.vendor(), "threads": run["blas_threads"]}}
     return files, resolved, facts
 
@@ -287,7 +281,7 @@ def _cmd_rolling(args) -> tuple[dict, dict, dict]:
     result = rolling_analysis(panel, window=args.window, methods=methods, rmax=args.rmax,
                               c_multiplier=args.c)
     files = {"rolling.csv": rolling_to_csv(result)}
-    facts = {"window_threads": _window_threads(len(result.endpoints))}
+    facts = {"window_threads": _blas.pool_size(_blas.threads() or 1, len(result.endpoints))}
     return files, _data_config(args, window=args.window, methods=methods), facts
 
 

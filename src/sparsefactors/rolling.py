@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -93,8 +92,9 @@ def rolling_analysis(
         return r_hats, tuple(sorted(est.strength.alpha_hat, reverse=True)), False
 
     # Windows are independent and numpy releases the GIL in the Gram and eigh. Each window's
-    # BLAS runs on one thread, so the result does not depend on the number of window threads.
-    threads = _window_threads(len(ends))  # read before pinning, which would make it 1
+    # BLAS runs on one thread, so the result does not depend on the number of window threads:
+    # as many as the BLAS had (read before pinning makes it 1), 1 when it is not recognised.
+    threads = _blas.pool_size(_blas.threads() or 1, len(ends))
     with _blas.single_threaded(), ThreadPoolExecutor(threads) as pool:
         r_hats, strengths_out, degenerate = zip(*pool.map(one_window, ends))
     return RollingResult(
@@ -104,13 +104,6 @@ def rolling_analysis(
         strength_series=strengths_out,
         notes=tuple("degenerate: r_hat = 0" if d else "" for d in degenerate),
     )
-
-
-def _window_threads(n_windows: int) -> int:
-    """Threads for ``n_windows`` windows: the BLAS's own thread count, capped by the usable
-    CPUs and by ``n_windows``; 1 when the BLAS is not recognised."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(_blas.threads() or 1, cpus or 1, n_windows)
 
 
 def rolling_to_csv(result: RollingResult) -> str:

@@ -11,17 +11,16 @@ blocks with Toeplitz ``0.5^|m-n|`` correlation.
 
 Every draw is a pure function of ``(seed, shape parameters)``: replication i
 derives its generator streams from ``(seed, i, stream_id)``, so it is the same
-on any thread or process. Every estimate runs with the BLAS on one thread, so
-parallel and serial runs aggregate identically.
+on any thread. Every estimate runs with the BLAS on one thread, so a batch on
+one thread and a batch on a pool of threads aggregate identically.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from functools import lru_cache
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -205,8 +204,9 @@ def gen_errors(n: int, t: int, seed):
     n_full = n // 4
     n_corr = int(math.floor(n**0.3))
     chosen = set(rng.choice(n_full, size=min(n_corr, n_full), replace=False).tolist())
-    toe = toeplitz_block()
+    toe, eye = toeplitz_block(), np.eye(4)
     chol = np.linalg.cholesky(toe)
+    toe.flags.writeable = eye.flags.writeable = False  # one array each, shared by its blocks
     e = rng.standard_t(5, size=(n, t))  # scaled and mixed in place: no second N x T array
     e *= math.sqrt(3.0 / 5.0)
     blocks = []
@@ -214,9 +214,9 @@ def gen_errors(n: int, t: int, seed):
         sl = slice(4 * b, 4 * b + 4)
         if b in chosen:
             e[sl] = chol @ e[sl]
-            blocks.append((4 * b, toe.copy()))
+            blocks.append((4 * b, toe))
         else:
-            blocks.append((4 * b, np.eye(4)))
+            blocks.append((4 * b, eye))
     if n % 4:
         blocks.append((4 * n_full, np.eye(n % 4)))
     return e, tuple(blocks)
@@ -263,10 +263,9 @@ def simulate_panel(config: SimConfig, rep: int = 0) -> tuple[Panel, SimTruth]:
     return panel, truth
 
 
-def _replicate(args, drawn=None) -> met.ReplicationRecord:
-    """The record of one replication. ``drawn`` is the future of its ``(panel, truth)`` when
-    another thread draws them; without it the replication draws its own."""
-    config, rep, tasks, rmax, c = args
+def _replicate(config, tasks, rmax, c, rep, drawn=None) -> met.ReplicationRecord:
+    """The record of replication ``rep``. ``drawn`` is the future of its ``(panel, truth)``
+    when another thread draws them; without it the replication draws its own."""
     rec = met.ReplicationRecord(rep=rep)
     try:  # a failed draw or estimate is this replication's error cell, not a batch abort
         panel, truth = simulate_panel(config, rep) if drawn is None else drawn.result()
@@ -321,12 +320,12 @@ def run_replications(
     :data:`~sparsefactors.factor_count.SELECTORS` plus "fit", "sparsity" and
     "rotation". Replication i always uses streams derived from
     ``(config.seed, i)``, and the whole batch runs with the BLAS on one thread
-    (in this process and in every worker, restored afterwards), so the report
-    is identical for any worker count. With one worker a helper thread draws
-    replication i + 1 while replication i is estimated. ``report.run`` records
-    the workers used (at most R), the start method of the worker processes
-    (None when none was started) and the BLAS thread count the replications
-    ran on (None when the BLAS is not recognised).
+    (restored afterwards), so the report is identical for any worker count.
+    With one worker a helper thread draws replication i + 1 while replication i
+    is estimated; with more, each of ``workers`` threads draws and estimates
+    whole replications. ``workers`` is capped by the usable CPUs and by R.
+    ``report.run`` records the workers used and the BLAS thread count the
+    replications ran on (None when the BLAS is not recognised).
     """
     if R < 1:
         raise InvalidArgumentError(f"R must be positive, got {R}")
@@ -346,35 +345,32 @@ def run_replications(
     if tasks - SELECTORS.keys() and config.r > n_min:
         raise InvalidArgumentError(f"r must be at most min(N, T) = {n_min}, got {config.r}")
     threshold_value(config.N, config.T, c_multiplier)  # a bad c fails before any replication
-    arglist = [(config, i, tasks, rmax, c_multiplier) for i in range(R)]
-    workers = min(workers, R)
+    replicate = partial(_replicate, config, tasks, rmax, c_multiplier)
+    workers = _blas.pool_size(workers, R)
     with _blas.single_threaded():
         blas_threads = _blas.threads()
-        if workers > 1:  # the processes fill the cores, so each draws its own panels
-            with ProcessPoolExecutor(max_workers=workers, initializer=_blas.pin_process) as pool:
-                records = list(pool.map(_replicate, arglist, chunksize=max(1, R // (8 * workers))))
+        if workers > 1:  # the threads fill the cores, so each draws its own panels
+            with ThreadPoolExecutor(workers) as pool:
+                records = list(pool.map(replicate, range(R)))
         else:
-            records = _replicate_drawing_ahead(arglist)
-    records.sort(key=lambda rec: rec.rep)
+            records = _replicate_drawing_ahead(replicate, config, R)
     agg = met.aggregate(records, config.r, config.alpha)
     report_config = {**asdict(config), "rmax": rmax, "c_multiplier": c_multiplier,
                      "tasks": sorted(tasks)}
-    # read only once a pool has fixed it: reading it fixes it, and later set_start_method fails
-    start_method = multiprocessing.get_start_method() if workers > 1 else None
-    run = {"workers": workers, "start_method": start_method, "blas_threads": blas_threads}
+    run = {"workers": workers, "blas_threads": blas_threads}
     return met.MetricsReport(config=report_config, per_rep=records, aggregates=agg, run=run)
 
 
-def _replicate_drawing_ahead(arglist) -> list:
-    """Records of the replications in ``arglist``, in order, each estimated on this thread
-    while a helper thread draws the next one's panel (numpy's generators release the GIL).
-    At most one drawn panel waits, so memory grows by one panel and its truth."""
+def _replicate_drawing_ahead(replicate, config: SimConfig, R: int) -> list:
+    """Records of replications 0 .. R - 1, in order, each estimated on this thread by
+    ``replicate`` while a helper thread draws the next one's panel (numpy's generators release
+    the GIL). At most one drawn panel waits, so memory grows by one panel and its truth."""
     records = []
     with ThreadPoolExecutor(1) as helper:
-        drawn = helper.submit(simulate_panel, *arglist[0][:2])  # (config, rep)
-        for i, args in enumerate(arglist):
+        drawn = helper.submit(simulate_panel, config, 0)
+        for i in range(R):
             current = drawn
-            if i + 1 < len(arglist):
-                drawn = helper.submit(simulate_panel, *arglist[i + 1][:2])
-            records.append(_replicate(args, current))
+            if i + 1 < R:
+                drawn = helper.submit(simulate_panel, config, i + 1)
+            records.append(replicate(i, current))
     return records

@@ -1,3 +1,4 @@
+import os
 import sys
 
 import pytest
@@ -41,3 +42,10 @@ def blas_threads_unchanged():
     before = _blas.threads()
     yield
     assert _blas.threads() == before, "the BLAS thread count was not restored"
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """The process sees two usable CPUs, so a pool of two threads is not capped to one."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)

@@ -1,8 +1,6 @@
-import multiprocessing
 import sys
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -75,18 +73,14 @@ def test_many_threads_entering_and_leaving_restore_the_count(two_threads):
     assert _blas.threads() == 2  # and restored once the last one closed
 
 
-@needs_blas
-def test_pinned_pool_worker_runs_one_thread(two_threads):
-    # a spawned worker starts from the BLAS's default count, not the parent's
-    ctx = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(1, mp_context=ctx, initializer=_blas.pin_process) as pool:
-        assert pool.submit(_blas.threads).result() == 1
-    assert _blas.threads() == 2
-
-
 def test_unrecognised_blas_is_left_alone(monkeypatch):
     monkeypatch.setattr(_blas, "_library", lambda: None)
     assert _blas.threads() is None
-    _blas.pin_process()
     with _blas.single_threaded():
         assert _blas.threads() is None
+
+
+def test_pool_size_is_capped_by_the_cpus_and_the_items(two_cpus):
+    assert _blas.pool_size(1000, 6) == 2
+    assert _blas.pool_size(1000, 1) == 1
+    assert _blas.pool_size(1, 6) == 1

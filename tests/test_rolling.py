@@ -97,7 +97,19 @@ class TestRollingAnalysis:
 
 def windows_on(monkeypatch, k):
     """Make rolling_analysis run its windows on ``k`` threads."""
-    monkeypatch.setattr(rolling, "_window_threads", lambda n_windows: k)
+    monkeypatch.setattr(_blas, "pool_size", lambda requested, items: k)
+
+
+def pool_sizes(monkeypatch):
+    """List that grows by the size of every thread pool rolling_analysis opens."""
+    sizes, real = [], rolling.ThreadPoolExecutor
+
+    def recording(threads):
+        sizes.append(threads)
+        return real(threads)
+
+    monkeypatch.setattr(rolling, "ThreadPoolExecutor", recording)
+    return sizes
 
 
 class TestWindowThreads:
@@ -144,15 +156,27 @@ class TestWindowThreads:
         assert messages[0] == messages[1]
         assert f"series {panel.series_ids[4]!r} is constant" in messages[0]  # the earlier window
 
-    def test_unrecognised_blas_means_one_thread(self, monkeypatch):
+    def test_unrecognised_blas_means_one_thread(self, monkeypatch, two_cpus):
         monkeypatch.setattr(_blas, "_library", lambda: None)
-        assert rolling._window_threads(141) == 1
+        sizes = pool_sizes(monkeypatch)
         panel, _ = sim_panel(30, 50, seed=18)
         assert len(rolling_analysis(panel, window=40, rmax=4).endpoints) == 11
+        assert sizes == [1]
 
-    def test_thread_count_capped_by_windows_and_blas(self):
-        assert rolling._window_threads(1) == 1
-        assert 1 <= rolling._window_threads(141) <= (_blas.threads() or 1)
+    @pytest.mark.skipif(_blas.threads() is None, reason="BLAS not recognised")
+    def test_thread_count_capped_by_windows_and_blas(self, monkeypatch, two_cpus):
+        sizes = pool_sizes(monkeypatch)
+        panel, _ = sim_panel(30, 50, seed=18)
+        get, set_ = _blas._library()
+        before = get()
+        try:
+            for blas_threads in (1, 2):
+                set_(blas_threads)
+                for window in (50, 40):  # one window, then 11
+                    rolling_analysis(panel, window=window, rmax=4)
+        finally:
+            set_(before)
+        assert sizes == [1, 1, 1, 2]
 
 
 class TestSubperiodHeatmap:

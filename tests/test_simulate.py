@@ -1,5 +1,4 @@
 import json
-import multiprocessing
 import pickle
 import re
 import threading
@@ -190,7 +189,8 @@ class TestRunReplications:
         r2 = run_replications(cfg, 8, rmax=4, workers=2)
         assert json.dumps(r1.to_json(), sort_keys=True) == json.dumps(r2.to_json(), sort_keys=True)
 
-    def test_replication_failures_are_recorded_not_raised(self, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_replication_failures_are_recorded_not_raised(self, monkeypatch, two_cpus, workers):
         import sparsefactors.simulate as sim
 
         real = sim._replicate_inner
@@ -202,12 +202,13 @@ class TestRunReplications:
 
         monkeypatch.setattr(sim, "_replicate_inner", flaky)
         cfg = SimConfig(N=36, T=36, r=2, alpha=(0.9, 0.7), seed=4)
-        report = run_replications(cfg, 3, rmax=4)
+        report = run_replications(cfg, 3, rmax=4, workers=workers)
+        assert report.run["workers"] == workers
         assert report.aggregates["failed"] == 1
         assert report.per_rep[1].error == "RuntimeError: boom"
 
     @pytest.mark.skipif(_blas.threads() is None, reason="BLAS not recognised")
-    def test_report_does_not_depend_on_workers_or_the_callers_blas_threads(self):
+    def test_report_does_not_depend_on_workers_or_the_callers_blas_threads(self, two_cpus):
         # at this size the BLAS thread count changes eigh's roundoff, so the batch must pin it
         cfg = SimConfig(N=300, T=300, r=3, alpha=(0.9, 0.75, 0.6), seed=13)
         get, set_ = _blas._library()
@@ -222,11 +223,18 @@ class TestRunReplications:
         texts = {json.dumps(rep.to_json(), sort_keys=True) for rep in reports.values()}
         assert len(texts) == 1
         assert reports[1, 2].aggregates["failed"] == 0
-        assert reports[1, 2].run == {"workers": 1, "start_method": None, "blas_threads": 1}
-        assert reports[2, 2].run == {"workers": 2, "blas_threads": 1,
-                                     "start_method": multiprocessing.get_start_method()}
+        assert reports[1, 2].run == {"workers": 1, "blas_threads": 1}
+        assert reports[2, 2].run == {"workers": 2, "blas_threads": 1}
 
-    def test_failed_draw_is_that_replications_error(self, monkeypatch):
+    def test_workers_capped_by_the_usable_cpus(self, two_cpus):
+        cfg = SimConfig(N=36, T=36, r=2, alpha=(0.9, 0.7), seed=6)
+        serial = run_replications(cfg, 6, rmax=4, workers=1)
+        capped = run_replications(cfg, 6, rmax=4, workers=1000)
+        assert capped.run["workers"] == 2
+        assert json.dumps(capped.to_json(), sort_keys=True) == json.dumps(serial.to_json(), sort_keys=True)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_draw_is_that_replications_error(self, monkeypatch, two_cpus, workers):
         import sparsefactors.simulate as sim
 
         real = sim.simulate_panel
@@ -238,7 +246,8 @@ class TestRunReplications:
 
         monkeypatch.setattr(sim, "simulate_panel", flaky)
         cfg = SimConfig(N=36, T=36, r=2, alpha=(0.9, 0.7), seed=4)
-        report = run_replications(cfg, 3, rmax=4)
+        report = run_replications(cfg, 3, rmax=4, workers=workers)
+        assert report.run["workers"] == workers
         assert [rec.error for rec in report.per_rep] == [None, "RuntimeError: draw failed", None]
         assert report.per_rep[0].tr_f is not None and report.per_rep[2].tr_f is not None
 
@@ -270,6 +279,31 @@ class TestRunReplications:
         caller = threading.get_ident()
         assert {ident for stage, ident, _ in seen if stage == "estimate"} == {caller}
         assert caller not in {ident for stage, ident, _ in seen if stage == "draw"}
+
+    @pytest.mark.skipif(_blas.threads() is None, reason="BLAS not recognised")
+    def test_blas_on_one_thread_on_every_pool_thread(self, monkeypatch, two_cpus):
+        import sparsefactors.simulate as sim
+
+        seen = []
+        real = sim.estimate
+
+        def recording(*args, **kwargs):
+            seen.append((threading.get_ident(), _blas.threads()))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sim, "estimate", recording)
+        get, set_ = _blas._library()
+        before = get()
+        set_(2)  # so that a missing pin would show
+        try:
+            cfg = SimConfig(N=36, T=36, r=2, alpha=(0.9, 0.7), seed=4)
+            report = run_replications(cfg, 6, rmax=4, workers=2)
+            assert _blas.threads() == 2  # the caller's count, restored
+        finally:
+            set_(before)
+        assert report.aggregates["failed"] == 0 and report.run == {"workers": 2, "blas_threads": 1}
+        assert len(seen) == 6 and {n for _, n in seen} == {1}
+        assert threading.get_ident() not in {ident for ident, _ in seen}
 
     def test_one_pc_fit_per_replication(self, pc_fit_calls):
         cfg = SimConfig(N=40, T=40, r=2, alpha=(0.9, 0.7), seed=8)
@@ -315,7 +349,7 @@ class TestSimConfigValidation:
             SimConfig(N=40, T=40, r=1, alpha=(0.9,), seed=0, support_mode="contiguous")
 
     def test_survives_pickle(self):
-        # workers receive the config itself
+        # a config is plain frozen data: it round-trips through pickle
         cfg = SimConfig(N=40, T=30, r=2, alpha=(0.9, 0.7), seed=12,
                         support_mode="contiguous", contiguous_ranges=((0, 27), (5, 18)))
         assert pickle.loads(pickle.dumps(cfg)) == cfg
