@@ -47,9 +47,7 @@ from .pca import (
     PcFit,
     SymEig,
     decompose,
-    eig_sym_desc,
     export_pc_fit,
-    gram,
     numerical_rank,
     pc_fit,
     residual_variances,
@@ -106,7 +104,6 @@ __all__ = [
     "align_and_trim",
     "apply_tcode",
     "decompose",
-    "eig_sym_desc",
     "estimate",
     "export_csv",
     "export_pc_fit",
@@ -114,7 +111,6 @@ __all__ = [
     "gen_errors",
     "gen_factors",
     "gen_loadings",
-    "gram",
     "heatmap_to_csv",
     "ingest_csv",
     "numerical_rank",

@@ -10,8 +10,8 @@ Four selectors over a shared eigendecomposition of the panel Gram
   on eigenvalue differences, slope doubled).
 * ``select_r_ah`` - Ahn-Horenstein eigenvalue ratio.
 
-The residual variances ``V(k)`` behind the SVT and IC_p1 rules are taken
-from the spectrum (``pca.residual_variances``); no selector refits the panel.
+The residual variances ``V(k)`` behind the SVT and IC_p1 rules, and their exact-fit
+floor, come from the spectrum (``pca.residual_variances``); no selector refits the panel.
 """
 
 from __future__ import annotations
@@ -66,6 +66,11 @@ def _prep(panel: Panel, method: str, rmax: int, eig: SymEig | None) -> SymEig:
     return eig if eig is not None else decompose(panel)
 
 
+def _exact_fit_floor(eig: SymEig) -> float:
+    """``V(k)`` at or below this is an exact fit: 1e-12 of the spectrum total ``mean(X^2)``."""
+    return 1e-12 * max(float(eig.values.sum()), 1e-300)
+
+
 def select_r_svt(panel: Panel, rmax: int = DEFAULT_RMAX, eig: SymEig | None = None) -> FactorCountResult:
     """Largest k whose eigenvalue clears ``sigma2 N^{-1/2} (ln ln N)^{1/2}``.
 
@@ -78,9 +83,9 @@ def select_r_svt(panel: Panel, rmax: int = DEFAULT_RMAX, eig: SymEig | None = No
     if n < 16:
         raise InvalidArgumentError(f"N must be at least 16 for the double-log threshold, got {n}")
     eig = _prep(panel, "wz", rmax, eig)
-    sigma2 = float(residual_variances(panel, eig, rmax)[-1])
+    sigma2 = float(residual_variances(eig, rmax)[-1])
     notes = []
-    if sigma2 <= 1e-12 * max(float(np.mean(panel.values**2)), 1e-300):
+    if sigma2 <= _exact_fit_floor(eig):
         r_hat = min(numerical_rank(panel, eig), rmax)
         notes.append("rank-deficient: sigma2 = 0, returned rank(X) capped at rmax")
         thr = 0.0
@@ -97,8 +102,8 @@ def select_r_icp1(panel: Panel, rmax: int = DEFAULT_RMAX, eig: SymEig | None = N
     n, t = panel.values.shape
     eig = _prep(panel, "bn", rmax, eig)
     penalty = (n + t) / (n * t) * math.log(n * t / (n + t))
-    vks = residual_variances(panel, eig, rmax)
-    zero_floor = 1e-12 * max(float(np.mean(panel.values**2)), 1e-300)
+    vks = residual_variances(eig, rmax)
+    zero_floor = _exact_fit_floor(eig)
     if np.any(vks <= zero_floor):
         k0 = int(np.nonzero(vks <= zero_floor)[0][0]) + 1
         diags = tuple((k + 1, float(vks[k]), float("-inf")) for k in range(rmax))

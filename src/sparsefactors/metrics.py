@@ -45,13 +45,25 @@ def trace_stat_lambda(lambda0: np.ndarray, lambda_hat: np.ndarray) -> float:
     return _trace_stat(lambda0, lambda_hat)
 
 
-def rmse_c(c0: np.ndarray, c_hat: np.ndarray) -> float:
-    """Entrywise RMSE between common components: ``sqrt(mean((Ch - C0)^2))``."""
-    c0 = np.asarray(c0, dtype=float)
-    c_hat = np.asarray(c_hat, dtype=float)
-    if c0.shape != c_hat.shape:
-        raise InvalidArgumentError(f"shape mismatch: {c0.shape} vs {c_hat.shape}")
-    return float(np.sqrt(np.mean((c_hat - c0) ** 2)))
+def rmse_c(lambda0: np.ndarray, f0: np.ndarray, lambda_hat: np.ndarray, f_hat: np.ndarray) -> float:
+    """Entrywise RMSE between common components, ``||Lh Fh' - L0 F0'||_F / sqrt(NT)``.
+
+    Computed from r x r products, never from the N x T components, as
+    ``tr(Lh'Lh Fh'Fh) - 2 tr(Lh'L0 F0'Fh) + tr(L0'L0 F0'F0)`` clamped at 0; the two
+    sides may have different numbers of columns. The subtraction cancels on a
+    near-exact fit, so the absolute accuracy is about ``sqrt(eps)`` times the RMS
+    size of the components: an exact fit reads a small value >= 0, not always 0.
+    """
+    l0, f0, lh, fh = (np.asarray(a, dtype=float) for a in (lambda0, f0, lambda_hat, f_hat))
+    if l0.shape[0] != lh.shape[0] or f0.shape[0] != fh.shape[0] or (
+            l0.shape[1] != f0.shape[1] or lh.shape[1] != fh.shape[1]):
+        raise InvalidArgumentError(f"shape mismatch: {l0.shape} x {f0.shape} vs {lh.shape} x {fh.shape}")
+
+    def tr(la, lb, fb, fa):  # tr(la'lb fb'fa), the inner product of la fa' and lb fb'
+        return float(np.sum((la.T @ lb) * (fb.T @ fa).T))
+
+    sq = tr(lh, lh, fh, fh) - 2.0 * tr(lh, l0, f0, fh) + tr(l0, l0, f0, f0)
+    return float(np.sqrt(max(sq, 0.0) / (l0.shape[0] * f0.shape[0])))
 
 
 def fdr_power(true_support, est_support) -> tuple[float, float]:

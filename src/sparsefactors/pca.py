@@ -8,9 +8,9 @@ the leading eigenvectors of ``X'X/(NT)``; from an N x N decomposition they
 are ``sqrt(T) X'u_k / ||X'u_k||``, the same vectors. Loadings are
 ``X F / T`` and the fitted common component is ``Lambda F'``.
 
-Because ``F'F/T = I``, the mean squared residual of the k-factor fit is
-``mean(X^2) - (mu_1 + ... + mu_k)``: residual variances are read off the
-spectrum (``residual_variances``), never obtained by refitting.
+The spectrum sums to ``mean(X^2)`` and, as ``F'F/T = I``, the mean squared residual
+``V(k)`` of the k-factor fit is its tail sum ``mu_{k+1} + ... + mu_min(N,T)``
+(``residual_variances``), never obtained by refitting or by another pass over X.
 """
 
 from __future__ import annotations
@@ -55,27 +55,19 @@ class PcFit:
         ``X factors / T``.
     eigvals : ndarray, shape (r,)
         Leading eigenvalues of ``X'X/(NT)``, nonincreasing.
-    values : ndarray, shape (N, T)
-        The fitted panel's read-only values ``X`` (a reference, not a copy).
     common : ndarray, shape (N, T)
-        ``loadings @ factors.T``, computed on first read and cached.
-    resid : ndarray, shape (N, T)
-        ``X - common``, computed on first read and cached.
+        ``loadings @ factors.T``, computed on first read and cached; no statistic of
+        the package reads it (they work from factors, loadings and spectrum).
     """
 
     r: int
     factors: np.ndarray
     loadings: np.ndarray
     eigvals: np.ndarray
-    values: np.ndarray
 
     @cached_property
     def common(self) -> np.ndarray:
         return self.loadings @ self.factors.T
-
-    @cached_property
-    def resid(self) -> np.ndarray:
-        return self.values - self.common
 
 
 def gram(panel: Panel) -> np.ndarray:
@@ -186,21 +178,20 @@ def pc_fit(panel: Panel, r: int, eig: SymEig | None = None) -> PcFit:
         factors=factors,
         loadings=x @ factors / t,
         eigvals=eig.values[:r].copy(),
-        values=x,
     )
 
 
-def residual_variances(panel: Panel, eig: SymEig, kmax: int) -> np.ndarray:
+def residual_variances(eig: SymEig, kmax: int) -> np.ndarray:
     """Mean squared residuals ``V(1..kmax)`` of the 1- to kmax-factor PC fits.
 
-    ``V(k) = mean(X^2) - (mu_1 + ... + mu_k)`` with ``eig`` a decomposition
-    of either panel Gram (``decompose``); clamped at 0, since the subtraction
-    cancels to roundoff when X has rank at most k.
+    ``V(k) = mu_{k+1} + ... + mu_m``, the tail sum of the m = min(N, T) eigenvalues of
+    ``decompose``, summed from the smallest up; clamped at 0, since the null
+    eigenvalues of a panel of rank at most k are roundoff of either sign.
     """
     if not 1 <= kmax <= len(eig.values):
         raise InvalidArgumentError(f"kmax must be in [1, {len(eig.values)}], got {kmax}")
-    total = float(np.mean(panel.values**2))
-    return np.maximum(total - np.cumsum(eig.values[:kmax]), 0.0)
+    tails = np.append(np.cumsum(eig.values[::-1])[::-1], 0.0)  # tails[k] = V(k), tails[0] the total
+    return np.maximum(tails[1 : kmax + 1], 0.0)
 
 
 def export_pc_fit(fit: PcFit, panel: Panel) -> dict[str, str]:

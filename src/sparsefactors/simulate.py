@@ -91,29 +91,26 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimTruth:
-    """Ground truth behind one simulated panel.
+    """Ground truth behind one simulated panel, in factored form.
 
-    ``loc``/``scale`` record the per-series location and scale removed by
-    standardization (zeros and ones when the panel was left raw), so metrics
-    can map the truth onto the scale the estimators saw.
+    The common component ``Lambda0 @ F0.T`` is not stored: the metrics read the
+    r-column factors and loadings. ``scale`` is the per-series standard deviation
+    removed by standardization (ones for a raw panel).
     """
 
     F0: np.ndarray
     Lambda0: np.ndarray
     supports0: tuple
-    C0: np.ndarray
-    loc: np.ndarray
     scale: np.ndarray
     standardized: bool = False
 
     def on_estimation_scale(self) -> tuple[np.ndarray, np.ndarray]:
-        """(Lambda0, C0) mapped to the scale on which estimation ran."""
+        """(loadings, factors) whose product is the common component on the estimation scale:
+        ``(Lambda0, F0)`` raw, ``(Lambda0 / scale, F0 - mean_t F0)`` standardized, since
+        centring each series of ``Lambda0 F0'`` over time centres the factors."""
         if not self.standardized:
-            return self.Lambda0, self.C0
-        s = self.scale[:, None]
-        lam = self.Lambda0 / s
-        c0 = (self.C0 - self.C0.mean(axis=1, keepdims=True)) / s
-        return lam, c0
+            return self.Lambda0, self.F0
+        return self.Lambda0 / self.scale[:, None], self.F0 - self.F0.mean(axis=0)
 
 
 def _rng(seed_entropy) -> np.random.Generator:
@@ -247,19 +244,14 @@ def simulate_panel(config: SimConfig, rep: int = 0) -> tuple[Panel, SimTruth]:
         ranges=config.contiguous_ranges,
     )
     x, _ = gen_errors(config.N, config.T, (*base, _STREAM_ERRORS))
-    c0 = lam0 @ f0.T
-    x += c0  # the panel is built in the errors' array
+    x += lam0 @ f0.T  # the panel is built in the errors' array; the common component is not kept
     panel = Panel(values=x, series_ids=_labels("s", config.N), time_ids=_labels("t", config.T))
-    loc = np.zeros(config.N)
     scale = np.ones(config.N)
     if config.standardize:
-        loc = x.mean(axis=1)
         scale = x.std(axis=1, ddof=1)
         panel = _standardize_panel(panel)
-    truth = SimTruth(
-        F0=f0, Lambda0=lam0, supports0=supports, C0=c0,
-        loc=loc, scale=scale, standardized=config.standardize,
-    )
+    truth = SimTruth(F0=f0, Lambda0=lam0, supports0=supports, scale=scale,
+                     standardized=config.standardize)
     return panel, truth
 
 
@@ -283,11 +275,11 @@ def _replicate_inner(config, panel, truth, tasks, rmax, c, rec) -> met.Replicati
     if not tasks & {"fit", "sparsity", "rotation"}:
         return rec  # est.fit unread: no fit, so r may exceed min(N, T) here
     fit = est.fit
-    lam0_scaled, c0_scaled = truth.on_estimation_scale()
     if "fit" in tasks:
+        lam0, f0 = truth.on_estimation_scale()
         rec.tr_f = met.trace_stat_f(truth.F0, fit.factors)
-        rec.tr_lambda = met.trace_stat_lambda(lam0_scaled, fit.loadings)
-        rec.rmse_c = met.rmse_c(c0_scaled, fit.common)
+        rec.tr_lambda = met.trace_stat_lambda(lam0, fit.loadings)
+        rec.rmse_c = met.rmse_c(lam0, f0, fit.loadings, fit.factors)
         rec.eigvals = tuple(float(v) for v in fit.eigvals)
     if "sparsity" in tasks:
         supports = est.sparse.supports

@@ -75,7 +75,7 @@ class TestIcp1:
         penalty = (n + t) / (n * t) * math.log(n * t / (n + t))
         for k, vk, ic in res.diagnostics:
             fit = pc_fit(panel, k)
-            vk_direct = float(np.mean(fit.resid**2))
+            vk_direct = float(np.mean((panel.values - fit.loadings @ fit.factors.T) ** 2))
             assert abs(vk - vk_direct) < 1e-10
             assert abs(ic - (math.log(vk_direct) + k * penalty)) < 1e-10
         best = min(res.diagnostics, key=lambda d: d[2])
@@ -121,7 +121,7 @@ class TestAh:
         assert res.r_hat == 1  # lowest k wins the all-infinite tie
 
     def test_ratios_match_recomputation(self):
-        from sparsefactors import eig_sym_desc, gram
+        from sparsefactors.pca import eig_sym_desc, gram
 
         panel = low_rank_panel(40, 45, rank=2, seed=11, noise=1.0)
         res = select_r_ah(panel, rmax=6)

@@ -2,10 +2,15 @@ import numpy as np
 import pytest
 
 from sparsefactors import (
+    InvalidArgumentError,
+    Panel,
+    SimConfig,
     fdr_power,
+    pc_fit,
     pooled_fdr_power,
     rmse_c,
     rotation_q,
+    simulate_panel,
     trace_stat_f,
     trace_stat_lambda,
 )
@@ -52,25 +57,64 @@ class TestTraceStats:
             trace_stat_f(f0, np.zeros((10, 2)))
 
 
+def dense_rmse_c(lambda0, f0, lambda_hat, f_hat):
+    """The definition, on the N x T components."""
+    return float(np.sqrt(np.mean((lambda_hat @ f_hat.T - lambda0 @ f0.T) ** 2)))
+
+
 class TestRmseC:
     def test_identical(self):
-        c = np.random.default_rng(5).normal(size=(6, 7))
-        assert rmse_c(c, c) == 0.0
+        rng = np.random.default_rng(5)
+        lam, f = rng.normal(size=(6, 2)), rng.normal(size=(7, 2))
+        assert rmse_c(lam, f, lam, f) == 0.0
 
     def test_unit_shift(self):
-        c = np.random.default_rng(6).normal(size=(5, 5))
-        assert rmse_c(c, c + 1.0) == pytest.approx(1.0, abs=1e-12)
+        rng = np.random.default_rng(6)
+        lam, f = rng.normal(size=(5, 2)), rng.normal(size=(5, 2))
+        ones = np.ones((5, 1))
+        shifted = rmse_c(lam, f, np.hstack((lam, ones)), np.hstack((f, ones)))  # C + 11'
+        assert shifted == pytest.approx(1.0, abs=1e-12)
 
     def test_epsilon_sign_matrix(self):
         rng = np.random.default_rng(7)
-        c = rng.normal(size=(8, 9))
+        lam, f = rng.normal(size=(8, 3)), rng.normal(size=(9, 3))
         signs = rng.choice([-1.0, 1.0], size=(8, 9))
         eps = 0.037
-        assert rmse_c(c, c + eps * signs) == pytest.approx(eps, abs=1e-12)
+        c_hat = (np.hstack((lam, eps * np.eye(8))), np.hstack((f, signs.T)))  # C + eps * signs
+        assert rmse_c(lam, f, *c_hat) == pytest.approx(eps, abs=1e-12)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            rmse_c(np.zeros((2, 2)), np.zeros((2, 3)))
+        with pytest.raises(InvalidArgumentError):  # rows
+            rmse_c(np.zeros((2, 1)), np.zeros((2, 1)), np.zeros((3, 1)), np.zeros((2, 1)))
+        with pytest.raises(InvalidArgumentError):  # periods
+            rmse_c(np.zeros((2, 1)), np.zeros((2, 1)), np.zeros((2, 1)), np.zeros((3, 1)))
+
+    @pytest.mark.parametrize("standardize", [False, True])
+    @pytest.mark.parametrize("n, t, r_fit", [(100, 100, 3), (60, 150, 3), (150, 40, 2), (80, 80, 5)])
+    def test_matches_dense_definition(self, standardize, n, t, r_fit):
+        cfg = SimConfig(N=n, T=t, r=3, alpha=(0.9, 0.75, 0.6), seed=13, standardize=standardize)
+        panel, truth = simulate_panel(cfg)
+        lam0, f0 = truth.on_estimation_scale()
+        fit = pc_fit(panel, r_fit)
+        dense = dense_rmse_c(lam0, f0, fit.loadings, fit.factors)
+        assert rmse_c(lam0, f0, fit.loadings, fit.factors) == pytest.approx(dense, rel=1e-12)
+
+    def test_standardized_truth_is_the_standardized_common_component(self):
+        cfg = SimConfig(N=40, T=50, r=3, alpha=(0.9, 0.75, 0.6), seed=13, standardize=True)
+        _, truth = simulate_panel(cfg)
+        c0 = truth.Lambda0 @ truth.F0.T
+        lam0, f0 = truth.on_estimation_scale()
+        expected = (c0 - c0.mean(axis=1, keepdims=True)) / truth.scale[:, None]
+        assert np.max(np.abs(lam0 @ f0.T - expected)) < 1e-12
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_exact_fit_is_finite_and_non_negative(self, seed):
+        rng = np.random.default_rng(seed)
+        lam0, f0 = rng.normal(size=(30, 3)), rng.normal(size=(45, 3))
+        c0 = lam0 @ f0.T
+        fit = pc_fit(Panel(c0, [f"s{i}" for i in range(30)], [f"t{j}" for j in range(45)]), 3)
+        value = rmse_c(lam0, f0, fit.loadings, fit.factors)  # the square cancels to roundoff
+        assert np.isfinite(value) and 0.0 <= value < 1e-6 * np.sqrt(np.mean(c0**2))
 
 
 class TestFdrPower:

@@ -6,10 +6,8 @@ from sparsefactors import (
     Panel,
     SimConfig,
     decompose,
-    eig_sym_desc,
     export_csv,
     export_pc_fit,
-    gram,
     numerical_rank,
     pc_fit,
     residual_variances,
@@ -17,6 +15,7 @@ from sparsefactors import (
     simulate_panel,
 )
 from sparsefactors.cli import run_cli
+from sparsefactors.pca import eig_sym_desc, gram
 
 from jacobi_oracle import jacobi_eigh
 
@@ -121,8 +120,7 @@ class TestPcFit:
         ll = fit.loadings.T @ fit.loadings / n
         assert np.max(np.abs(ll - np.diag(fit.eigvals))) < 1e-8
         assert np.all(np.diff(fit.eigvals) <= 1e-12)
-        assert np.max(np.abs(fit.resid @ fit.factors)) < 1e-8
-        assert np.max(np.abs(panel.values - fit.common - fit.resid)) == 0.0
+        assert np.max(np.abs((panel.values - fit.common) @ fit.factors)) < 1e-8
 
     def test_nested_in_larger_fit(self):
         panel = random_panel(10, 16, seed=4)
@@ -157,7 +155,7 @@ class TestPcFit:
 
 class TestResidualVariances:
     def variances(self, panel, kmax):
-        return residual_variances(panel, eig_sym_desc(gram(panel)), kmax)
+        return residual_variances(eig_sym_desc(gram(panel)), kmax)
 
     def test_zero_for_noise_free_rank_one(self):
         rng = np.random.default_rng(31)
@@ -174,7 +172,8 @@ class TestResidualVariances:
         vks = self.variances(panel, 8)
         assert vks.shape == (8,)
         for k in range(1, 9):
-            direct = float(np.mean(pc_fit(panel, k).resid ** 2))
+            fit = pc_fit(panel, k)
+            direct = float(np.mean((panel.values - fit.loadings @ fit.factors.T) ** 2))
             assert 0.0 < vks[k - 1] < 1.0
             assert abs(vks[k - 1] - direct) < 1e-12
 
@@ -189,20 +188,19 @@ class TestResidualVariances:
         panel = random_panel(5, 8, seed=35)
         eig = eig_sym_desc(gram(panel))
         with pytest.raises(ValueError):
-            residual_variances(panel, eig, 0)
+            residual_variances(eig, 0)
         with pytest.raises(ValueError):
-            residual_variances(panel, eig, 9)
+            residual_variances(eig, 9)
 
 
 class TestLazyFit:
-    def test_common_and_resid_built_on_first_read(self):
+    def test_common_built_on_first_read(self):
         panel = random_panel(8, 12, seed=36)
         fit = pc_fit(panel, 2)
-        assert "common" not in vars(fit) and "resid" not in vars(fit)
-        assert fit.values is panel.values
-        resid = fit.resid
-        assert set(vars(fit)) >= {"common", "resid"}
-        assert fit.resid is resid  # cached, not rebuilt
+        assert "common" not in vars(fit)
+        common = fit.common
+        assert "common" in vars(fit)
+        assert fit.common is common  # cached, not rebuilt
 
 
 class TestDecompose:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pickle
 import re
@@ -18,6 +19,7 @@ from sparsefactors import (
     simulate_panel,
     standardize,
 )
+from sparsefactors.pca import PcFit
 from sparsefactors.simulate import support_size
 
 
@@ -139,7 +141,9 @@ class TestSimulatePanel:
     def test_truth_composition(self):
         cfg = SimConfig(N=24, T=40, r=3, alpha=(0.9, 0.75, 0.6), seed=5)
         panel, truth = simulate_panel(cfg)
-        assert np.array_equal(truth.C0, truth.Lambda0 @ truth.F0.T)
+        errors, _ = gen_errors(24, 40, (5, 0, 2))  # replication 0's error stream
+        assert np.array_equal(panel.values, errors + truth.Lambda0 @ truth.F0.T)
+        assert np.array_equal(truth.scale, np.ones(24))
         for k, s in enumerate(truth.supports0):
             assert len(s) == support_size(24, cfg.alpha[k])
             off = [i for i in range(24) if i not in s]
@@ -151,13 +155,12 @@ class TestSimulatePanel:
         assert np.max(np.abs(panel.values.mean(axis=1))) < 1e-10
         assert np.max(np.abs(panel.values.var(axis=1, ddof=1) - 1.0)) < 1e-8
         assert truth.standardized
-        # scale/location undo the standardization: the raw panel has the raw truth inside
-        raw = panel.values * truth.scale[:, None] + truth.loc[:, None]
-        raw_again = (raw - raw.mean(axis=1, keepdims=True)) / raw.std(axis=1, ddof=1, keepdims=True)
-        assert np.max(np.abs(raw_again - panel.values)) < 1e-10
+        # the scale is the raw panel's: dividing the centred raw panel by it standardizes it
         cfg_raw = SimConfig(N=32, T=60, r=2, alpha=(0.9, 0.7), seed=6, standardize=False)
-        panel_raw, _ = simulate_panel(cfg_raw)
-        assert np.max(np.abs(raw - panel_raw.values)) < 1e-10
+        raw = simulate_panel(cfg_raw)[0].values
+        assert np.array_equal(truth.scale, raw.std(axis=1, ddof=1))
+        centred = raw - raw.mean(axis=1, keepdims=True)
+        assert np.max(np.abs(centred / truth.scale[:, None] - panel.values)) < 1e-10
 
     def test_zero_noise_variant_recovers_common_component(self):
         f0 = gen_factors(80, 2, (21, 0))
@@ -310,6 +313,20 @@ class TestRunReplications:
         report = run_replications(cfg, 3, rmax=4)  # every task
         assert report.aggregates["failed"] == 0
         assert len(pc_fit_calls) == 3
+
+    @pytest.mark.parametrize("standardize", [False, True])
+    def test_no_common_component_is_built(self, monkeypatch, standardize):
+        def unread(fit):
+            raise AssertionError("the N x T common component was built")
+
+        monkeypatch.setattr(PcFit, "common", property(unread))
+        cfg = SimConfig(N=30, T=44, r=2, alpha=(0.9, 0.7), seed=8, standardize=standardize)
+        report = run_replications(cfg, 3, rmax=4)  # every task
+        assert report.aggregates["failed"] == 0
+        assert all(rec.rmse_c > 0.0 for rec in report.per_rep)
+        _, truth = simulate_panel(cfg)
+        assert not [f.name for f in dataclasses.fields(truth)
+                    if np.shape(getattr(truth, f.name)) == (30, 44)]
 
     def test_selector_tasks_never_fit(self, pc_fit_calls):
         cfg = SimConfig(N=40, T=6, r=8, alpha=(0.9,) * 8, seed=8)  # r > min(N, T)
