@@ -5,6 +5,10 @@ exports ``scipy_openblas_get_num_threads64_`` and
 ``scipy_openblas_set_num_threads64_``. Any other BLAS is not recognised: its
 thread count reads None and :func:`single_threaded` leaves it alone.
 
+:func:`eigvalsh` calls the same library's ``LAPACKE_dsyevd`` directly, since
+numpy's ``eigvalsh`` keeps the interpreter lock during that call on matrices of
+up to 500 rows.
+
 Work that runs in parallel does so on threads inside :func:`single_threaded`, on a
 pool of :func:`pool_size` threads: numpy releases the interpreter lock in the BLAS
 calls, and one BLAS thread per pool thread keeps the roundoff independent of the
@@ -22,25 +26,69 @@ from functools import cache
 
 import numpy as np
 
+_COL_MAJOR = 102  # LAPACKE's matrix layout code
 _lock = threading.Lock()
 _depth = 0  # single_threaded regions open in this process
 _saved = None  # thread count to restore when the last one closes
 
 
-@cache
-def _library():
-    """``(get, set)`` thread-count functions of numpy's bundled OpenBLAS, or None."""
+def _bundled(*names):
+    """The named functions of numpy's bundled OpenBLAS, or None when no library has them all."""
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so"))):
         try:
             lib = ctypes.CDLL(path)
-            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+            return [getattr(lib, name) for name in names]
         except (OSError, AttributeError):
             continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        return get, set_
     return None
+
+
+@cache
+def _library():
+    """``(get, set)`` thread-count functions of numpy's bundled OpenBLAS, or None."""
+    found = _bundled("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_")
+    if found is None:
+        return None
+    get, set_ = found
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+@cache
+def _dsyevd():
+    """``LAPACKE_dsyevd`` of numpy's bundled OpenBLAS (64-bit LAPACK integers), or None."""
+    found = _bundled("scipy_LAPACKE_dsyevd64_")
+    if found is None:
+        return None
+    (dsyevd,) = found
+    # (layout, jobz, uplo, n, a, lda, w) -> info
+    dsyevd.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int64,
+                       ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
+    dsyevd.restype = ctypes.c_int64
+    return dsyevd
+
+
+def eigvalsh(matrix: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix, ascending, with the interpreter lock released.
+
+    The same LAPACK call (``dsyevd``, lower triangle, eigenvalues only) as
+    ``np.linalg.eigvalsh``, so the same values, bit for bit; with a BLAS that is
+    not recognised it is ``np.linalg.eigvalsh`` itself.
+    """
+    dsyevd = _dsyevd()
+    if dsyevd is None:
+        return np.linalg.eigvalsh(matrix)
+    a = np.array(matrix, dtype=np.float64, order="F")  # dsyevd overwrites its input
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    n = a.shape[0]
+    w = np.empty(n)
+    info = dsyevd(_COL_MAJOR, b"N", b"L", n, a.ctypes.data, max(n, 1), w.ctypes.data)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"Eigenvalues did not converge (dsyevd info {info})")
+    return w
 
 
 def threads() -> int | None:

@@ -325,17 +325,25 @@ def standardize(panel: Panel) -> Panel:
     DegenerateSeriesError
         If some series is constant, or its mean or variance overflows, naming it.
     """
+    return replace(panel, values=_standardized(panel)[0])
+
+
+def _standardized(panel: Panel) -> tuple[np.ndarray, np.ndarray]:
+    """``(values, sd)`` of ``standardize``: the standardized N x T values and the
+    per-series sample standard deviations (ddof=1, shape (N,)) they were divided by,
+    bitwise ``panel.values.std(axis=1, ddof=1)``. Raises as ``standardize`` does."""
     if panel.n_periods < 2:
         raise InsufficientSampleError(
             f"standardizing needs at least 2 periods, got {panel.n_periods}")
     x = panel.values
     with np.errstate(over="ignore", invalid="ignore"):  # np.std(ddof=1)'s arithmetic, mean taken once
         dev = x - x.mean(axis=1, keepdims=True)
-        sd = np.sqrt(np.add.reduce(dev * dev, axis=1, keepdims=True) / (panel.n_periods - 1))
-    bad = np.nonzero(~((0.0 < sd) & (sd < np.inf)).ravel())[0]  # 0, inf, or NaN from an inf mean
+        sd = np.sqrt(np.add.reduce(dev * dev, axis=1) / (panel.n_periods - 1))
+    bad = np.nonzero(~((0.0 < sd) & (sd < np.inf)))[0]  # 0, inf, or NaN from an inf mean
     if bad.size:
-        why = "is constant" if sd.flat[bad[0]] == 0.0 else "overflows in its mean or variance"
+        why = "is constant" if sd[bad[0]] == 0.0 else "overflows in its mean or variance"
         raise DegenerateSeriesError(
             f"series {panel.series_ids[bad[0]]!r} {why} and cannot be standardized"
         )
-    return replace(panel, values=dev / sd)
+    dev /= sd[:, None]
+    return dev, sd

@@ -11,35 +11,72 @@ are ``sqrt(T) X'u_k / ||X'u_k||``, the same vectors. Loadings are
 The spectrum sums to ``mean(X^2)`` and, as ``F'F/T = I``, the mean squared residual
 ``V(k)`` of the k-factor fit is its tail sum ``mu_{k+1} + ... + mu_min(N,T)``
 (``residual_variances``), never obtained by refitting or by another pass over X.
+
+The selectors read only eigenvalues and a fit only its r leading vectors, so a
+T x T Gram of dimension ``_FILTER_MIN_DIM`` or more is decomposed spectrum first:
+``_blas.eigvalsh`` (numpy's ``eigvalsh`` LAPACK call, made without the GIL) gives
+every eigenvalue, and ``SymEig.leading(r)`` later computes the r vectors by
+Chebyshev-filtered subspace iteration (Zhou, Saad, Tiago & Chelikowsky,
+J. Comput. Phys. 219, 2006). The filter damps ``[mu_m, mu_{r+4}]``
+on a block of r + 3 columns from a fixed start, with a step count read off the
+spectrum, and ends in a Rayleigh-Ritz step and a residual check. It falls back to
+the full ``eigh`` when the spectrum says it cannot separate the top r (r in the
+noise bulk, near-tied eigenvalues, a zero-width interval) or the residual check
+fails; either way the vectors agree with ``eigh``'s to roundoff. Smaller Grams and
+every N x N Gram take the full ``eigh``.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from . import _blas
 from .errors import InvalidArgumentError
 from .panel import Panel
+
+# T-side Grams from this dimension up are decomposed spectrum first (see ``decompose``).
+# Measured on 2 cores: from here up it is faster with one thread and with two (rolling
+# windows, ``workers=2``); below it the filter's fixed cost of some forty short BLAS and
+# QR calls, each taking the GIL back, eats the saving on the smaller eigh.
+_FILTER_MIN_DIM = 200
+_FILTER_GUARD = 3  # block columns beyond the r wanted
+_FILTER_MAX_STEPS = 40
+_FILTER_QR_EVERY = 3
+_FILTER_SEED = 20060901  # start block; no simulation stream draws from it
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
 class SymEig:
-    """Full symmetric eigendecomposition, eigenvalues nonincreasing.
+    """Symmetric eigendecomposition of a panel Gram, eigenvalues nonincreasing.
 
-    ``vectors[:, k]`` is the unit eigenvector for ``values[k]``, sign-fixed
-    so its largest-magnitude entry is positive (ties resolved to the lowest
-    index). ``side`` names the panel Gram it came from: "T" for the T x T
+    ``values`` is the whole spectrum. ``vectors[:, k]`` is the unit eigenvector
+    for ``values[k]``, sign-fixed so its largest-magnitude entry is positive
+    (ties resolved to the lowest index), or None when no vector was computed;
+    then ``gram`` holds the matrix and ``leading`` computes the vectors asked
+    for. ``side`` names the panel Gram it came from: "T" for the T x T
     ``X'X/(NT)`` (vectors over periods), "N" for the N x N ``XX'/(NT)``
-    (vectors over series, set by ``decompose``).
+    (vectors over series).
     """
 
     values: np.ndarray
-    vectors: np.ndarray
-    side: str = "T"
+    vectors: np.ndarray | None
+    side: str
+    gram: np.ndarray | None
+
+    def leading(self, k: int) -> np.ndarray:
+        """The first ``k`` eigenvectors as columns, sign-fixed like ``vectors``."""
+        if not 1 <= k <= len(self.values):
+            raise InvalidArgumentError(f"k must be in [1, {len(self.values)}], got {k}")
+        if self.vectors is not None:
+            return self.vectors[:, :k]
+        return _filtered_vectors(self.gram, self.values, k)
 
 
 @dataclass(frozen=True)
@@ -78,22 +115,26 @@ def gram(panel: Panel) -> np.ndarray:
     return (g + g.T) / 2.0
 
 
-def eig_sym_desc(matrix: np.ndarray) -> SymEig:
-    """Full eigendecomposition of a symmetric matrix, sorted nonincreasing.
-
-    Eigenvectors are sign-normalized: the entry of largest magnitude is made
-    positive, ties broken by the lowest index. Exact-tie eigenvalues keep the
-    solver's order.
-    """
+def _checked(matrix: np.ndarray) -> np.ndarray:
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidArgumentError("expected a square matrix")
     if not np.all(np.isfinite(m)):
         raise InvalidArgumentError("matrix entries must be finite")
-    vals, vecs = np.linalg.eigh(m)
+    return m
+
+
+def eig_sym_desc(matrix: np.ndarray) -> SymEig:
+    """Full eigendecomposition of a symmetric matrix, sorted nonincreasing, as side "T".
+
+    Eigenvectors are sign-normalized: the entry of largest magnitude is made
+    positive, ties broken by the lowest index. Exact-tie eigenvalues keep the
+    solver's order.
+    """
+    vals, vecs = np.linalg.eigh(_checked(matrix))
     vals = vals[::-1].copy()
     vecs = vecs[:, ::-1].copy()
-    return SymEig(values=vals, vectors=_fix_signs(vecs))
+    return SymEig(values=vals, vectors=_fix_signs(vecs), side="T", gram=None)
 
 
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:
@@ -109,22 +150,89 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
 def decompose(panel: Panel) -> SymEig:
     """Eigendecomposition of the smaller panel Gram, ``XX'/(NT)`` when N < T, else ``gram``.
 
-    The result has min(N, T) eigenpairs and records its ``side``; ``pc_fit``
+    The result has min(N, T) eigenvalues and records its ``side``; ``pc_fit``
     maps either side to the same factors. On side "N" the eigenvalues are the
     Rayleigh quotients ``||X'u_k||^2 / (NT)`` of the eigenvectors, computed
     from X itself: the Gram's length-T sums would cost the small eigenvalues
-    accuracy that ``X'u_k`` keeps.
+    accuracy that ``X'u_k`` keeps. A T x T Gram of dimension at least
+    ``_FILTER_MIN_DIM`` yields only its spectrum (``_blas.eigvalsh``) and keeps the
+    Gram, from which ``SymEig.leading`` filters the few vectors a fit reads.
     """
     x = panel.values
     n, t = x.shape
     if n >= t:
-        return eig_sym_desc(gram(panel))
+        if t < _FILTER_MIN_DIM:
+            return eig_sym_desc(gram(panel))
+        g = _checked(gram(panel))
+        return SymEig(values=_blas.eigvalsh(g)[::-1].copy(), vectors=None, side="T", gram=g)
     g = x @ x.T / (n * t)
     vecs = eig_sym_desc((g + g.T) / 2.0).vectors
     z = x.T @ vecs
     vals = np.einsum("ij,ij->j", z, z) / (n * t)
     order = np.argsort(-vals, kind="stable")  # keeps nonincreasing order through roundoff ties
-    return SymEig(values=vals[order], vectors=vecs[:, order], side="N")
+    return SymEig(values=vals[order], vectors=vecs[:, order], side="N", gram=None)
+
+
+def _filter_steps(values: np.ndarray, r: int) -> int | None:
+    """Chebyshev steps that damp ``[mu_m, mu_{r+4}]`` below the ``mu_r`` direction by 2e15,
+    or None when the filter cannot separate the top r (the caller falls back to ``eigh``).
+
+    None when the block of r + ``_FILTER_GUARD`` columns leaves no eigenvalue to damp,
+    the damped interval has no width, the steps would exceed ``_FILTER_MAX_STEPS`` (r
+    in the noise bulk, or the interval reaching mu_r), or a wanted eigenvalue lies within
+    ``8 m sqrt(eps) mu_1`` of a neighbour (near ties, whose vectors roundoff does not fix).
+    """
+    m = len(values)
+    block = r + _FILTER_GUARD
+    if block >= m:
+        return None
+    lo, hi, mu_r = values[-1], values[block], values[r - 1]
+    if not hi > lo:
+        return None
+    gamma = (2.0 * mu_r - lo - hi) / (hi - lo)
+    if not gamma > 1.0:
+        return None
+    steps = math.ceil(math.log(2e15) / math.acosh(gamma)) + 1
+    if steps > _FILTER_MAX_STEPS:
+        return None
+    gaps = -np.diff(values[: r + 1])  # mu_k - mu_{k+1}, k = 1..r
+    if gaps.min() <= 8 * m * math.sqrt(_EPS) * values[0]:
+        return None
+    return steps
+
+
+def _filtered_vectors(g: np.ndarray, values: np.ndarray, r: int) -> np.ndarray:
+    """The top r eigenvectors of ``g``, whose spectrum is ``values``, sign-fixed.
+
+    A fixed start block of r + ``_FILTER_GUARD`` columns is multiplied by the
+    degree-``_filter_steps`` Chebyshev polynomial that damps ``[mu_m, mu_{r+4}]``,
+    one root at a time with a QR every ``_FILTER_QR_EVERY`` factors (only the
+    block's span matters), then Rayleigh-Ritz picks the vectors. A residual
+    ``||G v - theta v||`` above ``8 m eps mu_1``, or no usable filter, falls back
+    to the full ``eigh``; both routes agree to roundoff.
+    """
+    steps = _filter_steps(values, r)
+    if steps is None:
+        return eig_sym_desc(g).vectors[:, :r]
+    m = len(values)
+    lo, hi = values[-1], values[r + _FILTER_GUARD]
+    roots = (hi + lo) / 2 + (hi - lo) / 2 * np.cos(np.pi * (np.arange(steps) + 0.5) / steps)
+    scale = 1.0 / (values[0] - lo)  # keeps the block's norm near 1 between QRs
+    block = np.random.default_rng(_FILTER_SEED).standard_normal((m, r + _FILTER_GUARD))
+    for k, root in enumerate(roots, start=1):
+        block = (g @ block - root * block) * scale
+        if k % _FILTER_QR_EVERY == 0:
+            block = np.linalg.qr(block)[0]
+    q = np.linalg.qr(block)[0]
+    gq = g @ q
+    h = q.T @ gq
+    theta, w = np.linalg.eigh((h + h.T) / 2.0)
+    theta, w = theta[::-1][:r], w[:, ::-1][:, :r]
+    vecs = q @ w
+    resid = np.linalg.norm(gq @ w - vecs * theta, axis=0)
+    if not np.all(resid <= 8 * m * _EPS * values[0]):
+        return eig_sym_desc(g).vectors[:, :r]
+    return _fix_signs(vecs)
 
 
 def numerical_rank(panel: Panel, eig: SymEig) -> int:
@@ -168,11 +276,12 @@ def pc_fit(panel: Panel, r: int, eig: SymEig | None = None) -> PcFit:
     rank = numerical_rank(panel, eig)
     if r > rank:
         raise InvalidArgumentError(f"r = {r} exceeds the numerical rank {rank} of the panel")
+    vecs = eig.leading(r)
     if eig.side == "N":
-        z = x.T @ eig.vectors[:, :r]
+        z = x.T @ vecs
         factors = _fix_signs(np.sqrt(t) * z / np.linalg.norm(z, axis=0))
     else:
-        factors = np.sqrt(t) * eig.vectors[:, :r]
+        factors = np.sqrt(t) * vecs
     return PcFit(
         r=r,
         factors=factors,

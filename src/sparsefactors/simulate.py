@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache, partial
 
 import numpy as np
@@ -27,7 +27,7 @@ import numpy as np
 from . import _blas, metrics as met
 from .errors import InvalidArgumentError
 from .factor_count import DEFAULT_RMAX, SELECTORS, check_rmax
-from .panel import Panel, standardize as _standardize_panel
+from .panel import Panel, _standardized
 from .screening import DEFAULT_C, estimate, symm_diff_ratio, threshold_value
 
 _STREAM_FACTORS = 0
@@ -248,8 +248,8 @@ def simulate_panel(config: SimConfig, rep: int = 0) -> tuple[Panel, SimTruth]:
     panel = Panel(values=x, series_ids=_labels("s", config.N), time_ids=_labels("t", config.T))
     scale = np.ones(config.N)
     if config.standardize:
-        scale = x.std(axis=1, ddof=1)
-        panel = _standardize_panel(panel)
+        values, scale = _standardized(panel)
+        panel = replace(panel, values=values)
     truth = SimTruth(F0=f0, Lambda0=lam0, supports0=supports, scale=scale,
                      standardized=config.standardize)
     return panel, truth

@@ -8,12 +8,13 @@ from sparsefactors import _blas
 
 
 def _record_calls(monkeypatch, name, record):
-    """Make every sparsefactors module's ``pca.<name>`` call ``record(*args)`` first."""
+    """Make every sparsefactors module's ``pca.<name>`` pass its result to ``record``."""
     real = getattr(pca, name)
 
     def recording(*args, **kwargs):
-        record(*args, **kwargs)
-        return real(*args, **kwargs)
+        result = real(*args, **kwargs)
+        record(result)
+        return result
 
     for modname, module in list(sys.modules.items()):
         if modname.split(".")[0] == "sparsefactors" and getattr(module, name, None) is real:
@@ -24,16 +25,25 @@ def _record_calls(monkeypatch, name, record):
 def pc_fit_calls(monkeypatch):
     """List that grows by one on every ``pc_fit`` call made through any sparsefactors module."""
     calls = []
-    _record_calls(monkeypatch, "pc_fit", lambda *args, **kwargs: calls.append(1))
+    _record_calls(monkeypatch, "pc_fit", lambda fit: calls.append(1))
     return calls
 
 
 @pytest.fixture
 def eig_dims(monkeypatch):
-    """Dimension of the matrix of every ``eig_sym_desc`` call made through any sparsefactors module."""
+    """Dimension of every ``decompose`` made through any sparsefactors module, on either
+    route (full ``eigh``, or spectrum first with vectors on request)."""
     dims = []
-    _record_calls(monkeypatch, "eig_sym_desc", lambda matrix: dims.append(len(matrix)))
+    _record_calls(monkeypatch, "decompose", lambda eig: dims.append(len(eig.values)))
     return dims
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """List that grows by one on every full ``eig_sym_desc`` made through any sparsefactors module."""
+    calls = []
+    _record_calls(monkeypatch, "eig_sym_desc", lambda eig: calls.append(1))
+    return calls
 
 
 @pytest.fixture(autouse=True)

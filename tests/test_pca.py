@@ -1,6 +1,11 @@
+import threading
+import warnings
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+import sparsefactors.pca as pca
 from sparsefactors import (
     InvalidArgumentError,
     Panel,
@@ -243,6 +248,125 @@ class TestDecompose:
             assert np.all(np.diff(decompose(random_panel(n, t, seed=t)).values) <= 0.0)
 
 
+def spectral_panel(n, t, mu, seed):
+    """N x T panel whose T x T Gram has exactly the spectrum ``mu`` (length T), up to roundoff."""
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.normal(size=(n, t)))[0]
+    v = np.linalg.qr(rng.normal(size=(t, t)))[0]
+    return panel_of(u * np.sqrt(np.asarray(mu) * n * t) @ v.T)
+
+
+class TestSpectrumFirstRoute:
+    """T x T Grams of dimension ``_FILTER_MIN_DIM`` and up: ``eigvalsh`` for the spectrum and
+    the Chebyshev-filtered block iteration for the leading vectors, or a full ``eigh``."""
+
+    M = pca._FILTER_MIN_DIM
+
+    def factor_panel(self, seed):
+        return simulate_panel(SimConfig(N=self.M + 20, T=self.M, r=3, alpha=(0.9, 0.75, 0.6),
+                                        seed=seed))[0]
+
+    def test_route_follows_the_gram_dimension(self):
+        m = self.M
+        for n, t, filtered in [(m, m - 1, False), (m, m, True), (m + 9, m, True), (m - 1, m, False)]:
+            eig = decompose(random_panel(n, t, seed=n + t))
+            assert (eig.vectors is None) == filtered
+            assert (eig.gram is not None) == filtered
+            assert eig.side == ("T" if n >= t else "N") and len(eig.values) == min(n, t)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_fits_match_the_gram_route(self, eigh_calls, seed):
+        panel = self.factor_panel(seed)
+        eig, full = decompose(panel), eig_sym_desc(gram(panel))
+        assert np.max(np.abs(eig.values - full.values)) < 1e-12 * full.values[0]
+        eigh_calls.clear()
+        for r in (1, 2, 3):
+            fast, slow = pc_fit(panel, r, eig=eig), pc_fit(panel, r, eig=full)
+            assert np.max(np.abs(fast.factors - slow.factors)) < 1e-12  # same signs
+            assert np.max(np.abs(fast.loadings - slow.loadings)) < 1e-12
+            assert np.max(np.abs(fast.eigvals - slow.eigvals) / slow.eigvals) < 1e-12
+        assert eigh_calls == []  # every vector came from the filter
+
+    @pytest.mark.parametrize("tie", [0.0, 1e-12, 1e-9])
+    def test_near_tie_falls_back_to_eigh(self, eigh_calls, tie):
+        m = self.M
+        mu = np.concatenate([[10.0, 5.0 * (1 + tie), 5.0], np.linspace(1.0, 0.1, m - 3)])
+        panel = spectral_panel(m + 20, m, mu, seed=8)
+        eig, full = decompose(panel), eig_sym_desc(gram(panel))
+        eigh_calls.clear()
+        fast, slow = pc_fit(panel, 2, eig=eig), pc_fit(panel, 2, eig=full)
+        assert eigh_calls == [1]
+        assert np.array_equal(fast.factors, slow.factors)
+        assert np.array_equal(fast.loadings, slow.loadings)
+        assert np.max(np.abs(fast.eigvals - slow.eigvals) / slow.eigvals) < 1e-12
+
+    @pytest.mark.parametrize("r", [4, 6])
+    def test_r_in_the_noise_bulk_falls_back_to_eigh(self, eigh_calls, r):
+        panel = self.factor_panel(4)  # three factors: the 4th eigenvalue on is noise
+        eig, full = decompose(panel), eig_sym_desc(gram(panel))
+        eigh_calls.clear()
+        fast, slow = pc_fit(panel, r, eig=eig), pc_fit(panel, r, eig=full)
+        assert eigh_calls == [1]
+        assert np.array_equal(fast.factors, slow.factors)
+        assert np.array_equal(fast.loadings, slow.loadings)
+
+    def test_rank_checked_before_any_vector_is_read(self, monkeypatch):
+        panel = low_rank(self.M + 20, self.M, 2, seed=9)
+        eig = decompose(panel)
+        assert eig.vectors is None and numerical_rank(panel, eig) == 2
+        full = pc_fit(panel, 2, eig=eig_sym_desc(gram(panel)))
+        assert np.max(np.abs(pc_fit(panel, 2, eig=eig).factors - full.factors)) < 1e-12
+
+        def unread(self, k):
+            raise AssertionError("a vector was read")
+
+        monkeypatch.setattr(pca.SymEig, "leading", unread)
+        with pytest.raises(InvalidArgumentError, match="r = 3 exceeds the numerical rank 2"):
+            pc_fit(panel, 3, eig=eig)
+
+    def test_zero_panel(self):
+        panel = panel_of(np.zeros((self.M, self.M)))
+        eig = decompose(panel)
+        assert eig.vectors is None and not eig.values.any()
+        with pytest.raises(InvalidArgumentError, match="exceeds the numerical rank 0"):
+            pc_fit(panel, 1, eig=eig)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the zero-width damped interval is not divided by
+            vec = eig.leading(1)
+        assert np.array_equal(vec, eig_sym_desc(gram(panel)).vectors[:, :1])
+
+    def test_leading_count_checked_on_either_route(self):
+        for panel in (random_panel(self.M, self.M, seed=10), random_panel(30, 20, seed=10)):
+            eig = decompose(panel)
+            m = len(eig.values)
+            assert eig.leading(m).shape == (m, m)
+            for k in (0, m + 1):
+                with pytest.raises(InvalidArgumentError, match=rf"k must be in \[1, {m}\], got {k}"):
+                    eig.leading(k)
+
+    def test_nonfinite_gram_rejected(self):
+        panel = panel_of(np.full((self.M, self.M), 1e300))
+        with np.errstate(over="ignore"), pytest.raises(InvalidArgumentError,
+                                                       match="matrix entries must be finite"):
+            decompose(panel)
+
+    def test_vectors_byte_identical_across_calls_and_threads(self):
+        panel = self.factor_panel(5)
+        eig = decompose(panel)
+        first = eig.leading(3).tobytes()
+        assert eig.leading(3).tobytes() == first
+        assert decompose(panel).leading(3).tobytes() == first
+        barrier = threading.Barrier(2)
+
+        def leading_after_barrier(e):
+            barrier.wait(timeout=30)
+            return e.leading(3).tobytes()
+
+        with ThreadPoolExecutor(2) as pool:
+            out = list(pool.map(leading_after_barrier, [eig, decompose(panel)]))
+        assert out == [first, first]
+
+
 def low_rank(n, t, rank, seed):
     rng = np.random.default_rng(seed)
     return panel_of(5.0 * rng.normal(size=(n, rank)) @ rng.normal(size=(rank, t)))
@@ -284,9 +408,11 @@ class TestNumericalRank:
 
 
 class TestDecompositionSize:
-    """Every decomposition a caller makes has dimension min(N, T)."""
+    """Every decomposition a caller makes has dimension min(N, T), on either T-side route."""
 
-    @pytest.mark.parametrize("n, t", [(20, 50), (50, 20)])
+    M = pca._FILTER_MIN_DIM
+
+    @pytest.mark.parametrize("n, t", [(20, 50), (50, 20), (M + 5, M)])
     def test_cli_commands(self, tmp_path, eig_dims, n, t):
         panel, _ = simulate_panel(SimConfig(N=n, T=t, r=2, alpha=(0.9, 0.7), seed=1))
         data = tmp_path / "panel.csv"
@@ -299,15 +425,21 @@ class TestDecompositionSize:
 
     @pytest.mark.parametrize("window", [15, 30])
     def test_rolling_windows(self, tmp_path, eig_dims, window):
-        panel, _ = simulate_panel(SimConfig(N=20, T=40, r=2, alpha=(0.9, 0.7), seed=2))
+        self.check_rolling(tmp_path, eig_dims, 20, 40, window)
+
+    def test_rolling_windows_spectrum_first(self, tmp_path, eig_dims):
+        self.check_rolling(tmp_path, eig_dims, self.M, self.M + 2, self.M)
+
+    def check_rolling(self, tmp_path, eig_dims, n, t, window):
+        panel, _ = simulate_panel(SimConfig(N=n, T=t, r=2, alpha=(0.9, 0.7), seed=2))
         data = tmp_path / "panel.csv"
         data.write_text(export_csv(panel), encoding="utf-8")
         argv = ["rolling", "--data", str(data), "--window", str(window), "--rmax", "3",
                 "--methods", "wz,bn", "--out", str(tmp_path / "o")]
         assert run_cli(argv) == 0
-        assert eig_dims == [min(20, window)] * (40 - window + 1)
+        assert eig_dims == [min(n, window)] * (t - window + 1)
 
-    @pytest.mark.parametrize("n, t", [(20, 60), (60, 20)])
+    @pytest.mark.parametrize("n, t", [(20, 60), (60, 20), (M, M)])
     def test_replications(self, eig_dims, n, t):
         report = run_replications(SimConfig(N=n, T=t, r=2, alpha=(0.9, 0.7), seed=3), 2, rmax=3)
         assert report.aggregates["failed"] == 0

@@ -162,6 +162,14 @@ class TestSimulatePanel:
         centred = raw - raw.mean(axis=1, keepdims=True)
         assert np.max(np.abs(centred / truth.scale[:, None] - panel.values)) < 1e-10
 
+    @pytest.mark.parametrize("n, t, seed", [(32, 60, 6), (90, 20, 7), (15, 300, 8)])
+    def test_standardized_panel_is_standardize_of_the_raw_panel(self, n, t, seed):
+        cfg = SimConfig(N=n, T=t, r=2, alpha=(0.9, 0.7), seed=seed)
+        raw = simulate_panel(cfg)[0]
+        panel, truth = simulate_panel(dataclasses.replace(cfg, standardize=True))
+        assert np.array_equal(panel.values, standardize(raw).values)
+        assert np.array_equal(truth.scale, raw.values.std(axis=1, ddof=1))
+
     def test_zero_noise_variant_recovers_common_component(self):
         f0 = gen_factors(80, 2, (21, 0))
         # factor 1 loads every unit so no series is constant in the noise-free panel
