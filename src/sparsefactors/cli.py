@@ -6,8 +6,10 @@ config file (``--config``), with command-line flags taking precedence.
 
 Each command maps its arguments to its output files and the resolved
 configuration (``rolling`` adds the number of window threads it used,
-``simulate`` the number of worker threads used and the BLAS thread count the
-replications ran on).
+``simulate`` the number of threads it used and the BLAS thread count the
+replications ran on). ``simulate --workers`` is a thread count with a floor of
+two, capped by the usable CPUs and by ``--reps``, so ``--workers 1`` runs, and
+records, two threads on a machine with two or more CPUs.
 :func:`run_cli` alone writes them atomically (temp file + rename) together
 with a ``manifest.json`` holding the resolved configuration, the seed
 actually used, package versions, the BLAS vendor and thread count (None
@@ -281,7 +283,7 @@ def _cmd_rolling(args) -> tuple[dict, dict, dict]:
     result = rolling_analysis(panel, window=args.window, methods=methods, rmax=args.rmax,
                               c_multiplier=args.c)
     files = {"rolling.csv": rolling_to_csv(result)}
-    facts = {"window_threads": _blas.pool_size(_blas.threads() or 1, len(result.endpoints))}
+    facts = {"window_threads": result.threads}
     return files, _data_config(args, window=args.window, methods=methods), facts
 
 
@@ -340,7 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rmax", type=int)
     p.add_argument("--c", type=float)
     p.add_argument("--tasks", help="comma-separated subset of " + ",".join(sorted(ALL_TASKS)))
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=int,
+                   help="threads that each draw and estimate whole replications; at least 2 "
+                        "are used, at most the usable CPUs and --reps (default 1)")
     p.add_argument("--out", default=".")
     p.set_defaults(func=_cmd_simulate)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -29,7 +29,9 @@ class RollingResult:
     """Per-window factor counts and strengths.
 
     ``strength_series[w]`` has length ``r_hat_series["wz"][w]`` (empty when
-    the window is degenerate, i.e. the SVT rule found no factors).
+    the window is degenerate, i.e. the SVT rule found no factors). ``threads``
+    is the size of the thread pool the windows ran on; equality ignores it,
+    since the windows' results do not depend on it.
     """
 
     window_length: int
@@ -37,6 +39,7 @@ class RollingResult:
     r_hat_series: dict
     strength_series: tuple
     notes: tuple
+    threads: int = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -103,6 +106,7 @@ def rolling_analysis(
         r_hat_series=dict(zip(methods, zip(*r_hats))),
         strength_series=strengths_out,
         notes=tuple("degenerate: r_hat = 0" if d else "" for d in degenerate),
+        threads=threads,
     )
 
 

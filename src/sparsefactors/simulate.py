@@ -11,8 +11,9 @@ blocks with Toeplitz ``0.5^|m-n|`` correlation.
 
 Every draw is a pure function of ``(seed, shape parameters)``: replication i
 derives its generator streams from ``(seed, i, stream_id)``, so it is the same
-on any thread. Every estimate runs with the BLAS on one thread, so a batch on
-one thread and a batch on a pool of threads aggregate identically.
+on any thread. A batch maps whole replications (draw, estimate, metrics) over a
+pool of threads with the BLAS on one thread, so it aggregates identically for
+any pool size.
 """
 
 from __future__ import annotations
@@ -157,7 +158,7 @@ def gen_factors(t: int, r: int, seed, burn_in: int = SimConfig.burn_in) -> np.nd
 def gen_loadings(n: int, alpha, seed, support_mode: str = SimConfig.support_mode, ranges=None):
     """N x r sparse loading matrix plus the r true support sets.
 
-    Each factor's support has exactly ``floor(N^alpha_k)`` units, drawn
+    Each factor's support has exactly ``floor(N^alpha_k)`` units, chosen
     uniformly without replacement (independently across factors) or taken
     verbatim from ``ranges`` in contiguous mode; nonzero entries are iid
     standard normal. ``seed`` is a tuple of non-negative integers, the
@@ -222,8 +223,8 @@ def gen_errors(n: int, t: int, seed):
 @lru_cache(maxsize=8)
 def _labels(prefix: str, count: int) -> tuple:
     """``prefix`` followed by 1, 2, ..., ``count`` zero-padded to three digits. Built once per
-    design: formatting them is pure Python, which a drawing helper thread would run under the
-    GIL that the estimating thread needs."""
+    design: formatting them is pure Python, which a drawing thread would run under the GIL
+    that the estimating threads need."""
     return tuple(f"{prefix}{i + 1:03d}" for i in range(count))
 
 
@@ -255,12 +256,11 @@ def simulate_panel(config: SimConfig, rep: int = 0) -> tuple[Panel, SimTruth]:
     return panel, truth
 
 
-def _replicate(config, tasks, rmax, c, rep, drawn=None) -> met.ReplicationRecord:
-    """The record of replication ``rep``. ``drawn`` is the future of its ``(panel, truth)``
-    when another thread draws them; without it the replication draws its own."""
+def _replicate(config, tasks, rmax, c, rep) -> met.ReplicationRecord:
+    """The record of replication ``rep``, which the calling thread draws and estimates."""
     rec = met.ReplicationRecord(rep=rep)
     try:  # a failed draw or estimate is this replication's error cell, not a batch abort
-        panel, truth = simulate_panel(config, rep) if drawn is None else drawn.result()
+        panel, truth = simulate_panel(config, rep)
         return _replicate_inner(config, panel, truth, tasks, rmax, c, rec)
     except Exception as exc:
         rec.error = f"{type(exc).__name__}: {exc}"
@@ -313,10 +313,11 @@ def run_replications(
     "rotation". Replication i always uses streams derived from
     ``(config.seed, i)``, and the whole batch runs with the BLAS on one thread
     (restored afterwards), so the report is identical for any worker count.
-    With one worker a helper thread draws replication i + 1 while replication i
-    is estimated; with more, each of ``workers`` threads draws and estimates
-    whole replications. ``workers`` is capped by the usable CPUs and by R.
-    ``report.run`` records the workers used and the BLAS thread count the
+    Each of ``workers`` threads draws and estimates whole replications.
+    ``workers`` has a floor of two, so that one replication's draw overlaps
+    another's estimate (``workers=1`` runs two threads), and is capped by the
+    usable CPUs and by R: one usable CPU or R = 1 runs one thread.
+    ``report.run`` records the threads used and the BLAS thread count the
     replications ran on (None when the BLAS is not recognised).
     """
     if R < 1:
@@ -338,31 +339,13 @@ def run_replications(
         raise InvalidArgumentError(f"r must be at most min(N, T) = {n_min}, got {config.r}")
     threshold_value(config.N, config.T, c_multiplier)  # a bad c fails before any replication
     replicate = partial(_replicate, config, tasks, rmax, c_multiplier)
-    workers = _blas.pool_size(workers, R)
-    with _blas.single_threaded():
+    workers = _blas.pool_size(max(workers, 2), R)
+    with _blas.single_threaded(), ThreadPoolExecutor(workers) as pool:
         blas_threads = _blas.threads()
-        if workers > 1:  # the threads fill the cores, so each draws its own panels
-            with ThreadPoolExecutor(workers) as pool:
-                records = list(pool.map(replicate, range(R)))
-        else:
-            records = _replicate_drawing_ahead(replicate, config, R)
+        records = list(pool.map(replicate, range(R)))
     agg = met.aggregate(records, config.r, config.alpha)
     report_config = {**asdict(config), "rmax": rmax, "c_multiplier": c_multiplier,
                      "tasks": sorted(tasks)}
     run = {"workers": workers, "blas_threads": blas_threads}
     return met.MetricsReport(config=report_config, per_rep=records, aggregates=agg, run=run)
 
-
-def _replicate_drawing_ahead(replicate, config: SimConfig, R: int) -> list:
-    """Records of replications 0 .. R - 1, in order, each estimated on this thread by
-    ``replicate`` while a helper thread draws the next one's panel (numpy's generators release
-    the GIL). At most one drawn panel waits, so memory grows by one panel and its truth."""
-    records = []
-    with ThreadPoolExecutor(1) as helper:
-        drawn = helper.submit(simulate_panel, config, 0)
-        for i in range(R):
-            current = drawn
-            if i + 1 < R:
-                drawn = helper.submit(simulate_panel, config, i + 1)
-            records.append(replicate(i, current))
-    return records

@@ -76,7 +76,7 @@ class TestSimulateCommand:
             out = tmp_path / str(recognised)
             assert run_cli(argv + ["--out", str(out)]) == 0
             manifest = json.loads((out / "manifest.json").read_text())
-            assert manifest["workers"] == workers
+            assert manifest["workers"] == 2
             assert "start_method" not in manifest
             # the count the replications ran on, not the one restored afterwards
             pinned = 1 if _blas.threads() is not None else None

@@ -168,15 +168,16 @@ class TestWindowThreads:
         sizes = pool_sizes(monkeypatch)
         panel, _ = sim_panel(30, 50, seed=18)
         get, set_ = _blas._library()
-        before = get()
+        before, results = get(), []
         try:
             for blas_threads in (1, 2):
                 set_(blas_threads)
                 for window in (50, 40):  # one window, then 11
-                    rolling_analysis(panel, window=window, rmax=4)
+                    results.append(rolling_analysis(panel, window=window, rmax=4))
         finally:
             set_(before)
         assert sizes == [1, 1, 1, 2]
+        assert [result.threads for result in results] == sizes  # the pool that was opened
 
 
 class TestSubperiodHeatmap:

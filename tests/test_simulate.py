@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import pickle
 import re
 import threading
@@ -214,7 +215,7 @@ class TestRunReplications:
         monkeypatch.setattr(sim, "_replicate_inner", flaky)
         cfg = SimConfig(N=36, T=36, r=2, alpha=(0.9, 0.7), seed=4)
         report = run_replications(cfg, 3, rmax=4, workers=workers)
-        assert report.run["workers"] == workers
+        assert report.run["workers"] == 2
         assert report.aggregates["failed"] == 1
         assert report.per_rep[1].error == "RuntimeError: boom"
 
@@ -234,7 +235,7 @@ class TestRunReplications:
         texts = {json.dumps(rep.to_json(), sort_keys=True) for rep in reports.values()}
         assert len(texts) == 1
         assert reports[1, 2].aggregates["failed"] == 0
-        assert reports[1, 2].run == {"workers": 1, "blas_threads": 1}
+        assert reports[1, 2].run == {"workers": 2, "blas_threads": 1}
         assert reports[2, 2].run == {"workers": 2, "blas_threads": 1}
 
     def test_workers_capped_by_the_usable_cpus(self, two_cpus):
@@ -258,12 +259,13 @@ class TestRunReplications:
         monkeypatch.setattr(sim, "simulate_panel", flaky)
         cfg = SimConfig(N=36, T=36, r=2, alpha=(0.9, 0.7), seed=4)
         report = run_replications(cfg, 3, rmax=4, workers=workers)
-        assert report.run["workers"] == workers
+        assert report.run["workers"] == 2
         assert [rec.error for rec in report.per_rep] == [None, "RuntimeError: draw failed", None]
         assert report.per_rep[0].tr_f is not None and report.per_rep[2].tr_f is not None
 
     @pytest.mark.skipif(_blas.threads() is None, reason="BLAS not recognised")
-    def test_blas_on_one_thread_on_the_draw_and_the_estimate_thread(self, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_blas_on_one_thread_on_every_pool_thread(self, monkeypatch, two_cpus, workers):
         import sparsefactors.simulate as sim
 
         seen = []
@@ -280,41 +282,46 @@ class TestRunReplications:
         before = get()
         set_(2)  # so that a missing pin would show
         try:
-            report = run_replications(SimConfig(N=36, T=36, r=2, alpha=(0.9, 0.7), seed=4), 3, rmax=4)
-            assert _blas.threads() == 2
-        finally:
-            set_(before)
-        assert report.aggregates["failed"] == 0 and report.run["blas_threads"] == 1
-        assert sorted(stage for stage, _, _ in seen) == ["draw"] * 3 + ["estimate"] * 3
-        assert {n for _, _, n in seen} == {1}
-        caller = threading.get_ident()
-        assert {ident for stage, ident, _ in seen if stage == "estimate"} == {caller}
-        assert caller not in {ident for stage, ident, _ in seen if stage == "draw"}
-
-    @pytest.mark.skipif(_blas.threads() is None, reason="BLAS not recognised")
-    def test_blas_on_one_thread_on_every_pool_thread(self, monkeypatch, two_cpus):
-        import sparsefactors.simulate as sim
-
-        seen = []
-        real = sim.estimate
-
-        def recording(*args, **kwargs):
-            seen.append((threading.get_ident(), _blas.threads()))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(sim, "estimate", recording)
-        get, set_ = _blas._library()
-        before = get()
-        set_(2)  # so that a missing pin would show
-        try:
             cfg = SimConfig(N=36, T=36, r=2, alpha=(0.9, 0.7), seed=4)
-            report = run_replications(cfg, 6, rmax=4, workers=2)
+            report = run_replications(cfg, 6, rmax=4, workers=workers)
             assert _blas.threads() == 2  # the caller's count, restored
         finally:
             set_(before)
         assert report.aggregates["failed"] == 0 and report.run == {"workers": 2, "blas_threads": 1}
-        assert len(seen) == 6 and {n for _, n in seen} == {1}
-        assert threading.get_ident() not in {ident for ident, _ in seen}
+        assert sorted(stage for stage, _, _ in seen) == ["draw"] * 6 + ["estimate"] * 6
+        assert {n for _, _, n in seen} == {1}
+        assert threading.get_ident() not in {ident for _, ident, _ in seen}
+
+    def test_each_replication_drawn_and_estimated_on_one_pool_thread(self, monkeypatch, two_cpus):
+        import sparsefactors.simulate as sim
+
+        drawn_on, estimated_on = {}, {}
+        real_draw, real_inner = sim.simulate_panel, sim._replicate_inner
+
+        def draw(config, rep):
+            drawn_on[rep] = threading.get_ident()
+            return real_draw(config, rep)
+
+        def inner(config, panel, truth, tasks, rmax, c_mult, rec):
+            estimated_on[rec.rep] = threading.get_ident()
+            return real_inner(config, panel, truth, tasks, rmax, c_mult, rec)
+
+        monkeypatch.setattr(sim, "simulate_panel", draw)
+        monkeypatch.setattr(sim, "_replicate_inner", inner)
+        cfg = SimConfig(N=36, T=36, r=2, alpha=(0.9, 0.7), seed=4)
+        report = run_replications(cfg, 6, rmax=4, workers=1)
+        assert report.aggregates["failed"] == 0 and report.run["workers"] == 2
+        assert sorted(drawn_on) == list(range(6)) and drawn_on == estimated_on
+        assert threading.get_ident() not in drawn_on.values()
+
+    def test_one_usable_cpu_runs_one_thread_and_the_same_report(self, monkeypatch, two_cpus):
+        cfg = SimConfig(N=36, T=36, r=2, alpha=(0.9, 0.7), seed=4)
+        two = run_replications(cfg, 4, rmax=4, workers=1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        one = run_replications(cfg, 4, rmax=4, workers=1)
+        assert two.run["workers"] == 2 and one.run["workers"] == 1
+        assert json.dumps(one.to_json(), sort_keys=True) == json.dumps(two.to_json(), sort_keys=True)
 
     def test_one_pc_fit_per_replication(self, pc_fit_calls):
         cfg = SimConfig(N=40, T=40, r=2, alpha=(0.9, 0.7), seed=8)
