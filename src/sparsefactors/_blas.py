@@ -1,13 +1,17 @@
-"""Thread control of numpy's bundled OpenBLAS through the library's own entry points.
+"""Thread control and LAPACK calls of numpy's bundled OpenBLAS through its own entry points.
 
 numpy wheels ship OpenBLAS as ``numpy.libs/libscipy_openblas*.so``, which
 exports ``scipy_openblas_get_num_threads64_`` and
 ``scipy_openblas_set_num_threads64_``. Any other BLAS is not recognised: its
 thread count reads None and :func:`single_threaded` leaves it alone.
 
-:func:`eigvalsh` calls the same library's ``LAPACKE_dsyevd`` directly, since
-numpy's ``eigvalsh`` keeps the interpreter lock during that call on matrices of
-up to 500 rows.
+:func:`tridiagonalize` binds four LAPACK routines of the same library, each one
+ctypes call made without the interpreter lock: ``dsytrd`` reduces a symmetric
+matrix to tridiagonal form, ``dsterf`` gives the whole spectrum from it,
+``dstemr`` (the MRRR algorithm of Dhillon, Parlett & Vömel, ACM TOMS 32(4),
+2006) the eigenvectors of the tridiagonal for the top k eigenvalues, and
+``dormtr`` maps them back through the reduction. With a BLAS that is not
+recognised it returns None.
 
 Work that runs in parallel does so on threads inside :func:`single_threaded`, on a
 pool of :func:`pool_size` threads: numpy releases the interpreter lock in the BLAS
@@ -22,6 +26,7 @@ import glob
 import os
 import threading
 from contextlib import contextmanager
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -57,38 +62,88 @@ def _library():
 
 
 @cache
-def _dsyevd():
-    """``LAPACKE_dsyevd`` of numpy's bundled OpenBLAS (64-bit LAPACK integers), or None."""
-    found = _bundled("scipy_LAPACKE_dsyevd64_")
+def _lapack():
+    """``(dsytrd, dsterf, dstemr, dormtr)`` of numpy's bundled OpenBLAS through LAPACKE
+    (64-bit LAPACK integers), or None."""
+    found = _bundled("scipy_LAPACKE_dsytrd64_", "scipy_LAPACKE_dsterf64_",
+                     "scipy_LAPACKE_dstemr64_", "scipy_LAPACKE_dormtr64_")
     if found is None:
         return None
-    (dsyevd,) = found
-    # (layout, jobz, uplo, n, a, lda, w) -> info
-    dsyevd.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int64,
-                       ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
-    dsyevd.restype = ctypes.c_int64
-    return dsyevd
+    dsytrd, dsterf, dstemr, dormtr = found
+    i64, ptr, char = ctypes.c_int64, ctypes.c_void_p, ctypes.c_char
+    # (layout, uplo, n, a, lda, d, e, tau) -> info
+    dsytrd.argtypes = [ctypes.c_int, char, i64, ptr, i64, ptr, ptr, ptr]
+    # (n, d, e) -> info
+    dsterf.argtypes = [i64, ptr, ptr]
+    # (layout, jobz, range, n, d, e, vl, vu, il, iu, m, w, z, ldz, nzc, isuppz, tryrac) -> info
+    dstemr.argtypes = [ctypes.c_int, char, char, i64, ptr, ptr, ctypes.c_double, ctypes.c_double,
+                       i64, i64, ptr, ptr, ptr, i64, i64, ptr, ptr]
+    # (layout, side, uplo, trans, m, n, a, lda, tau, c, ldc) -> info
+    dormtr.argtypes = [ctypes.c_int, char, char, char, i64, i64, ptr, i64, ptr, ptr, i64]
+    for f in found:
+        f.restype = i64
+    return dsytrd, dsterf, dstemr, dormtr
 
 
-def eigvalsh(matrix: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix, ascending, with the interpreter lock released.
+def _ok(info: int, routine: str) -> None:
+    if info != 0:
+        raise np.linalg.LinAlgError(f"{routine} failed (info {info})")
 
-    The same LAPACK call (``dsyevd``, lower triangle, eigenvalues only) as
-    ``np.linalg.eigvalsh``, so the same values, bit for bit; with a BLAS that is
-    not recognised it is ``np.linalg.eigvalsh`` itself.
+
+@dataclass(frozen=True)
+class Tridiagonal:
+    """``Q' A Q = T`` for a symmetric ``A``, as ``dsytrd`` leaves it from the lower triangle.
+
+    ``d`` and ``e`` are the diagonal and subdiagonal of T; ``a`` (column-major) holds
+    the Householder reflectors of Q below its subdiagonal, with scale factors ``tau``.
     """
-    dsyevd = _dsyevd()
-    if dsyevd is None:
-        return np.linalg.eigvalsh(matrix)
-    a = np.array(matrix, dtype=np.float64, order="F")  # dsyevd overwrites its input
+
+    a: np.ndarray
+    tau: np.ndarray
+    d: np.ndarray
+    e: np.ndarray
+
+    def eigenvalues(self) -> np.ndarray:
+        """The spectrum, ascending, by ``dsterf``: what ``dsyevd`` runs after its own
+        ``dsytrd`` when numpy asks it for eigenvalues only, so numpy's values bit for bit
+        (``dsyevd`` first rescales a matrix whose largest entry is beyond about 1e-146 or
+        1e146 in magnitude; this does not)."""
+        d, e = self.d.copy(), self.e.copy()
+        _ok(_lapack()[1](len(d), d.ctypes.data, e.ctypes.data), "dsterf")
+        return d
+
+    def leading(self, k: int) -> np.ndarray:
+        """Unit eigenvectors of A for its k largest eigenvalues, as columns in nonincreasing
+        order, by ``dstemr`` on T and ``dormtr``; their signs are as the solver left them."""
+        _, _, dstemr, dormtr = _lapack()
+        n = len(self.d)
+        if not 1 <= k <= n:
+            raise ValueError(f"k must be in [1, {n}], got {k}")
+        d, e = self.d.copy(), self.e.copy()
+        found, tryrac = ctypes.c_int64(0), ctypes.c_int64(0)  # absolute accuracy, as eigh's
+        w, z, isuppz = np.empty(n), np.empty((n, k), order="F"), np.empty(2 * k, dtype=np.int64)
+        _ok(dstemr(_COL_MAJOR, b"V", b"I", n, d.ctypes.data, e.ctypes.data, 0.0, 0.0, n - k + 1, n,
+                   ctypes.byref(found), w.ctypes.data, z.ctypes.data, n, k, isuppz.ctypes.data,
+                   ctypes.byref(tryrac)), "dstemr")
+        _ok(dormtr(_COL_MAJOR, b"L", b"L", b"N", n, k, self.a.ctypes.data, n, self.tau.ctypes.data,
+                   z.ctypes.data, n), "dormtr")
+        return z[:, ::-1].copy()
+
+
+def tridiagonalize(matrix: np.ndarray) -> Tridiagonal | None:
+    """``dsytrd`` of a symmetric matrix (lower triangle, input not overwritten), or None
+    when the BLAS is not recognised."""
+    a = np.array(matrix, dtype=np.float64, order="F")  # dsytrd overwrites its input
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    lapack = _lapack()
+    if lapack is None:
+        return None
     n = a.shape[0]
-    w = np.empty(n)
-    info = dsyevd(_COL_MAJOR, b"N", b"L", n, a.ctypes.data, max(n, 1), w.ctypes.data)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"Eigenvalues did not converge (dsyevd info {info})")
-    return w
+    d, e, tau = np.empty(n), np.zeros(n), np.zeros(max(n - 1, 1))  # e[n-1] is dstemr workspace
+    _ok(lapack[0](_COL_MAJOR, b"L", n, a.ctypes.data, max(n, 1), d.ctypes.data, e.ctypes.data,
+                  tau.ctypes.data), "dsytrd")
+    return Tridiagonal(a=a, tau=tau, d=d, e=e)
 
 
 def threads() -> int | None:

@@ -13,24 +13,24 @@ The spectrum sums to ``mean(X^2)`` and, as ``F'F/T = I``, the mean squared resid
 (``residual_variances``), never obtained by refitting or by another pass over X.
 
 The selectors read only eigenvalues and a fit only its r leading vectors, so a
-T x T Gram of dimension ``_FILTER_MIN_DIM`` or more is decomposed spectrum first:
-``_blas.eigvalsh`` (numpy's ``eigvalsh`` LAPACK call, made without the GIL) gives
-every eigenvalue, and ``SymEig.leading(r)`` later computes the r vectors by
-Chebyshev-filtered subspace iteration (Zhou, Saad, Tiago & Chelikowsky,
-J. Comput. Phys. 219, 2006). The filter damps ``[mu_m, mu_{r+4}]``
-on a block of r + 3 columns from a fixed start, with a step count read off the
-spectrum, and ends in a Rayleigh-Ritz step and a residual check. It falls back to
-the full ``eigh`` when the spectrum says it cannot separate the top r (r in the
-noise bulk, near-tied eigenvalues, a zero-width interval) or the residual check
-fails; either way the vectors agree with ``eigh``'s to roundoff. Smaller Grams and
-every N x N Gram take the full ``eigh``.
+T x T Gram, of any dimension, is reduced once to tridiagonal form (``dsytrd``,
+through ``_blas.tridiagonalize``) and decomposed spectrum first: ``dsterf`` gives
+every eigenvalue (the values numpy's eigenvalues-only ``dsyevd`` call gives, bit for
+bit), and ``SymEig.leading(r)`` later computes the r vectors by MRRR (``dstemr``) on
+the tridiagonal, mapped back through the reduction (``dormtr``). The vectors agree
+with ``eigh``'s to roundoff, except where r cuts through a near tie of eigenvalues.
+There the r-th vector is ill-determined: it is one valid vector of the tied
+cluster, not necessarily ``eigh``'s, and asking for the vectors up to the end of the
+cluster gives a basis of its span. Either way the bits are the same on every call
+and every thread; no tie falls back to another route. With a BLAS that is not
+recognised, the T side takes the full ``eigh`` (``eig_sym_desc``), as every N x N
+Gram does.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -40,17 +40,6 @@ from . import _blas
 from .errors import InvalidArgumentError
 from .panel import Panel
 
-# T-side Grams from this dimension up are decomposed spectrum first (see ``decompose``).
-# Measured on 2 cores: from here up it is faster with one thread and with two (rolling
-# windows, ``workers=2``); below it the filter's fixed cost of some forty short BLAS and
-# QR calls, each taking the GIL back, eats the saving on the smaller eigh.
-_FILTER_MIN_DIM = 200
-_FILTER_GUARD = 3  # block columns beyond the r wanted
-_FILTER_MAX_STEPS = 40
-_FILTER_QR_EVERY = 3
-_FILTER_SEED = 20060901  # start block; no simulation stream draws from it
-_EPS = np.finfo(float).eps
-
 
 @dataclass(frozen=True)
 class SymEig:
@@ -59,8 +48,9 @@ class SymEig:
     ``values`` is the whole spectrum. ``vectors[:, k]`` is the unit eigenvector
     for ``values[k]``, sign-fixed so its largest-magnitude entry is positive
     (ties resolved to the lowest index), or None when no vector was computed;
-    then ``gram`` holds the matrix and ``leading`` computes the vectors asked
-    for. ``side`` names the panel Gram it came from: "T" for the T x T
+    then ``tridiagonal`` holds the Gram's reduction (``dsytrd``'s reflectors,
+    ``tau``, diagonal and subdiagonal) and ``leading`` computes the vectors asked
+    for from it. ``side`` names the panel Gram it came from: "T" for the T x T
     ``X'X/(NT)`` (vectors over periods), "N" for the N x N ``XX'/(NT)``
     (vectors over series).
     """
@@ -68,15 +58,21 @@ class SymEig:
     values: np.ndarray
     vectors: np.ndarray | None
     side: str
-    gram: np.ndarray | None
+    tridiagonal: _blas.Tridiagonal | None
 
     def leading(self, k: int) -> np.ndarray:
-        """The first ``k`` eigenvectors as columns, sign-fixed like ``vectors``."""
+        """The first ``k`` eigenvectors as columns, sign-fixed like ``vectors``.
+
+        Without ``vectors``, ``dstemr`` + ``dormtr`` compute just these k from
+        ``tridiagonal``, the same bits on every call. Where ``values[k - 1]`` nearly
+        ties ``values[k]``, the k-th column is one valid vector of the tied cluster, not
+        necessarily ``eigh``'s; a ``k`` that takes in the whole cluster gives its span.
+        """
         if not 1 <= k <= len(self.values):
             raise InvalidArgumentError(f"k must be in [1, {len(self.values)}], got {k}")
         if self.vectors is not None:
             return self.vectors[:, :k]
-        return _filtered_vectors(self.gram, self.values, k)
+        return _fix_signs(self.tridiagonal.leading(k))
 
 
 @dataclass(frozen=True)
@@ -134,7 +130,7 @@ def eig_sym_desc(matrix: np.ndarray) -> SymEig:
     vals, vecs = np.linalg.eigh(_checked(matrix))
     vals = vals[::-1].copy()
     vecs = vecs[:, ::-1].copy()
-    return SymEig(values=vals, vectors=_fix_signs(vecs), side="T", gram=None)
+    return SymEig(values=vals, vectors=_fix_signs(vecs), side="T", tridiagonal=None)
 
 
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:
@@ -154,85 +150,27 @@ def decompose(panel: Panel) -> SymEig:
     maps either side to the same factors. On side "N" the eigenvalues are the
     Rayleigh quotients ``||X'u_k||^2 / (NT)`` of the eigenvectors, computed
     from X itself: the Gram's length-T sums would cost the small eigenvalues
-    accuracy that ``X'u_k`` keeps. A T x T Gram of dimension at least
-    ``_FILTER_MIN_DIM`` yields only its spectrum (``_blas.eigvalsh``) and keeps the
-    Gram, from which ``SymEig.leading`` filters the few vectors a fit reads.
+    accuracy that ``X'u_k`` keeps. On side "T" the Gram, whatever its dimension, is
+    reduced to tridiagonal form once: the eigenvalues are ``dsterf``'s (bit for bit
+    numpy's eigenvalues-only values) and ``vectors`` is None, since ``SymEig.leading``
+    computes the few vectors a fit reads from the kept reduction. With a BLAS that
+    is not recognised it is ``eig_sym_desc(gram(panel))``.
     """
     x = panel.values
     n, t = x.shape
     if n >= t:
-        if t < _FILTER_MIN_DIM:
-            return eig_sym_desc(gram(panel))
         g = _checked(gram(panel))
-        return SymEig(values=_blas.eigvalsh(g)[::-1].copy(), vectors=None, side="T", gram=g)
+        tri = _blas.tridiagonalize(g)
+        if tri is None:
+            return eig_sym_desc(g)
+        values = tri.eigenvalues()[::-1].copy()
+        return SymEig(values=values, vectors=None, side="T", tridiagonal=tri)
     g = x @ x.T / (n * t)
     vecs = eig_sym_desc((g + g.T) / 2.0).vectors
     z = x.T @ vecs
     vals = np.einsum("ij,ij->j", z, z) / (n * t)
     order = np.argsort(-vals, kind="stable")  # keeps nonincreasing order through roundoff ties
-    return SymEig(values=vals[order], vectors=vecs[:, order], side="N", gram=None)
-
-
-def _filter_steps(values: np.ndarray, r: int) -> int | None:
-    """Chebyshev steps that damp ``[mu_m, mu_{r+4}]`` below the ``mu_r`` direction by 2e15,
-    or None when the filter cannot separate the top r (the caller falls back to ``eigh``).
-
-    None when the block of r + ``_FILTER_GUARD`` columns leaves no eigenvalue to damp,
-    the damped interval has no width, the steps would exceed ``_FILTER_MAX_STEPS`` (r
-    in the noise bulk, or the interval reaching mu_r), or a wanted eigenvalue lies within
-    ``8 m sqrt(eps) mu_1`` of a neighbour (near ties, whose vectors roundoff does not fix).
-    """
-    m = len(values)
-    block = r + _FILTER_GUARD
-    if block >= m:
-        return None
-    lo, hi, mu_r = values[-1], values[block], values[r - 1]
-    if not hi > lo:
-        return None
-    gamma = (2.0 * mu_r - lo - hi) / (hi - lo)
-    if not gamma > 1.0:
-        return None
-    steps = math.ceil(math.log(2e15) / math.acosh(gamma)) + 1
-    if steps > _FILTER_MAX_STEPS:
-        return None
-    gaps = -np.diff(values[: r + 1])  # mu_k - mu_{k+1}, k = 1..r
-    if gaps.min() <= 8 * m * math.sqrt(_EPS) * values[0]:
-        return None
-    return steps
-
-
-def _filtered_vectors(g: np.ndarray, values: np.ndarray, r: int) -> np.ndarray:
-    """The top r eigenvectors of ``g``, whose spectrum is ``values``, sign-fixed.
-
-    A fixed start block of r + ``_FILTER_GUARD`` columns is multiplied by the
-    degree-``_filter_steps`` Chebyshev polynomial that damps ``[mu_m, mu_{r+4}]``,
-    one root at a time with a QR every ``_FILTER_QR_EVERY`` factors (only the
-    block's span matters), then Rayleigh-Ritz picks the vectors. A residual
-    ``||G v - theta v||`` above ``8 m eps mu_1``, or no usable filter, falls back
-    to the full ``eigh``; both routes agree to roundoff.
-    """
-    steps = _filter_steps(values, r)
-    if steps is None:
-        return eig_sym_desc(g).vectors[:, :r]
-    m = len(values)
-    lo, hi = values[-1], values[r + _FILTER_GUARD]
-    roots = (hi + lo) / 2 + (hi - lo) / 2 * np.cos(np.pi * (np.arange(steps) + 0.5) / steps)
-    scale = 1.0 / (values[0] - lo)  # keeps the block's norm near 1 between QRs
-    block = np.random.default_rng(_FILTER_SEED).standard_normal((m, r + _FILTER_GUARD))
-    for k, root in enumerate(roots, start=1):
-        block = (g @ block - root * block) * scale
-        if k % _FILTER_QR_EVERY == 0:
-            block = np.linalg.qr(block)[0]
-    q = np.linalg.qr(block)[0]
-    gq = g @ q
-    h = q.T @ gq
-    theta, w = np.linalg.eigh((h + h.T) / 2.0)
-    theta, w = theta[::-1][:r], w[:, ::-1][:, :r]
-    vecs = q @ w
-    resid = np.linalg.norm(gq @ w - vecs * theta, axis=0)
-    if not np.all(resid <= 8 * m * _EPS * values[0]):
-        return eig_sym_desc(g).vectors[:, :r]
-    return _fix_signs(vecs)
+    return SymEig(values=vals[order], vectors=vecs[:, order], side="N", tridiagonal=None)
 
 
 def numerical_rank(panel: Panel, eig: SymEig) -> int:

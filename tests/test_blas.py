@@ -87,34 +87,36 @@ def test_pool_size_is_capped_by_the_cpus_and_the_items(two_cpus):
     assert _blas.pool_size(1, 6) == 1
 
 
+needs_lapacke = pytest.mark.skipif(_blas._lapack() is None, reason="LAPACKE not recognised")
+
+
+@needs_lapacke
 @pytest.mark.parametrize("n", [1, 2, 7, 60, 301])
 def test_eigvalsh_is_numpys_bit_for_bit(n):
+    """The spectrum of the reduction is ``np.linalg.eigvalsh``'s, bit for bit."""
     a = np.random.default_rng(n).normal(size=(n, n))
     m = (a + a.T) / 2
     before = m.copy()
-    assert np.array_equal(_blas.eigvalsh(m), np.linalg.eigvalsh(m))
+    assert np.array_equal(_blas.tridiagonalize(m).eigenvalues(), np.linalg.eigvalsh(m))
     assert np.array_equal(m, before)  # the input is not overwritten
 
 
 def test_eigvalsh_rejects_a_non_square_matrix():
     with pytest.raises(ValueError, match="square"):
-        _blas.eigvalsh(np.ones((3, 4)))
-
-
-needs_lapacke = pytest.mark.skipif(_blas._dsyevd() is None, reason="LAPACKE not recognised")
+        _blas.tridiagonalize(np.ones((3, 4)))
 
 
 @needs_lapacke
 def test_eigvalsh_releases_the_interpreter_lock():
-    """With no forced thread switch, the caller's loop runs during the call only if the
-    call released the lock (numpy's own eigvalsh keeps it at 400 rows)."""
+    """With no forced thread switch, the caller's loop runs during the reduction only if
+    the call released the lock."""
     a = np.random.default_rng(3).normal(size=(400, 400))
     m = a @ a.T
     started, done, spins = threading.Event(), threading.Event(), []
 
     def decompose_once():
         started.set()
-        _blas.eigvalsh(m)
+        _blas.tridiagonalize(m)
         done.set()
 
     old = sys.getswitchinterval()

@@ -17,8 +17,13 @@ from sparsefactors import (
     pc_fit,
     residual_variances,
     run_replications,
+    select_r_ah,
+    select_r_ed,
+    select_r_icp1,
+    select_r_svt,
     simulate_panel,
 )
+from sparsefactors import _blas
 from sparsefactors.cli import run_cli
 from sparsefactors.pca import eig_sym_desc, gram
 
@@ -229,13 +234,13 @@ class TestDecompose:
         panel = panel_of(np.random.default_rng(n + t).normal(size=(n, t)))
         small, full = decompose(panel), eig_sym_desc(gram(panel))
         assert small.side == "T"
-        assert np.array_equal(small.values, full.values)
-        assert np.array_equal(small.vectors, full.vectors)
+        assert np.array_equal(small.values, np.linalg.eigvalsh(gram(panel))[::-1])
+        assert np.max(np.abs(small.leading(t) - full.vectors)) < 1e-12
         r = min(n, t, 4)
         fast, slow = pc_fit(panel, r), pc_fit(panel, r, eig=full)
-        assert np.array_equal(fast.factors, slow.factors)
-        assert np.array_equal(fast.loadings, slow.loadings)
-        assert np.array_equal(fast.eigvals, slow.eigvals)
+        assert np.max(np.abs(fast.factors - slow.factors)) < 1e-12
+        assert np.max(np.abs(fast.loadings - slow.loadings)) < 1e-12
+        assert np.max(np.abs(fast.eigvals - slow.eigvals) / slow.eigvals) < 1e-12
 
     def test_t_side_eig_still_accepted_when_n_below_t(self):
         panel = random_panel(6, 30, seed=41)
@@ -257,22 +262,23 @@ def spectral_panel(n, t, mu, seed):
 
 
 class TestSpectrumFirstRoute:
-    """T x T Grams of dimension ``_FILTER_MIN_DIM`` and up: ``eigvalsh`` for the spectrum and
-    the Chebyshev-filtered block iteration for the leading vectors, or a full ``eigh``."""
+    """Every T x T Gram: one tridiagonal reduction, ``dsterf`` for the spectrum and
+    ``dstemr`` + ``dormtr`` for the leading vectors, with no ``eigh`` fallback."""
 
-    M = pca._FILTER_MIN_DIM
+    M = 200
 
     def factor_panel(self, seed):
         return simulate_panel(SimConfig(N=self.M + 20, T=self.M, r=3, alpha=(0.9, 0.75, 0.6),
                                         seed=seed))[0]
 
     def test_route_follows_the_gram_dimension(self):
-        m = self.M
-        for n, t, filtered in [(m, m - 1, False), (m, m, True), (m + 9, m, True), (m - 1, m, False)]:
-            eig = decompose(random_panel(n, t, seed=n + t))
-            assert (eig.vectors is None) == filtered
-            assert (eig.gram is not None) == filtered
-            assert eig.side == ("T" if n >= t else "N") and len(eig.values) == min(n, t)
+        for m in (3, 20, 199, 200, 209):
+            for n, t in [(m, m), (m + 9, m), (m, m + 1)]:
+                eig = decompose(random_panel(n, t, seed=n + t))
+                t_side = n >= t
+                assert eig.side == ("T" if t_side else "N") and len(eig.values) == min(n, t)
+                assert (eig.vectors is None) == t_side  # the N side keeps its eigh vectors
+                assert (eig.tridiagonal is not None) == t_side
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_fits_match_the_gram_route(self, eigh_calls, seed):
@@ -285,30 +291,38 @@ class TestSpectrumFirstRoute:
             assert np.max(np.abs(fast.factors - slow.factors)) < 1e-12  # same signs
             assert np.max(np.abs(fast.loadings - slow.loadings)) < 1e-12
             assert np.max(np.abs(fast.eigvals - slow.eigvals) / slow.eigvals) < 1e-12
-        assert eigh_calls == []  # every vector came from the filter
+        assert eigh_calls == []  # every vector came from the reduction
 
     @pytest.mark.parametrize("tie", [0.0, 1e-12, 1e-9])
     def test_near_tie_falls_back_to_eigh(self, eigh_calls, tie):
+        """r = 2 cuts the tie of mu_2 and mu_3: no fallback, the first vector is eigh's, the
+        tied cluster's span is eigh's, and the ill-determined second vector is the same
+        bits on every call."""
         m = self.M
         mu = np.concatenate([[10.0, 5.0 * (1 + tie), 5.0], np.linspace(1.0, 0.1, m - 3)])
         panel = spectral_panel(m + 20, m, mu, seed=8)
         eig, full = decompose(panel), eig_sym_desc(gram(panel))
         eigh_calls.clear()
-        fast, slow = pc_fit(panel, 2, eig=eig), pc_fit(panel, 2, eig=full)
-        assert eigh_calls == [1]
-        assert np.array_equal(fast.factors, slow.factors)
-        assert np.array_equal(fast.loadings, slow.loadings)
-        assert np.max(np.abs(fast.eigvals - slow.eigvals) / slow.eigvals) < 1e-12
+        assert np.max(np.abs(eig.leading(1) - full.vectors[:, :1])) < 1e-12
+        v, w = eig.leading(3), full.vectors[:, :3]
+        assert np.max(np.abs(v @ v.T - w @ w.T)) < 1e-12
+        first = eig.leading(2).tobytes()
+        assert eig.leading(2).tobytes() == first
+        assert decompose(panel).leading(2).tobytes() == first
+        assert eigh_calls == []
 
-    @pytest.mark.parametrize("r", [4, 6])
+    @pytest.mark.parametrize("r", [4, 6, 8])
     def test_r_in_the_noise_bulk_falls_back_to_eigh(self, eigh_calls, r):
+        """r in the noise bulk takes the same route as any r: no ``eigh``, and the vectors
+        are ``eigh``'s to well within the bulk's eigenvalue gaps."""
         panel = self.factor_panel(4)  # three factors: the 4th eigenvalue on is noise
         eig, full = decompose(panel), eig_sym_desc(gram(panel))
         eigh_calls.clear()
         fast, slow = pc_fit(panel, r, eig=eig), pc_fit(panel, r, eig=full)
-        assert eigh_calls == [1]
-        assert np.array_equal(fast.factors, slow.factors)
-        assert np.array_equal(fast.loadings, slow.loadings)
+        assert eigh_calls == []
+        assert np.max(np.abs(eig.leading(r) - full.vectors[:, :r])) < 1e-12
+        assert np.max(np.abs(fast.factors - slow.factors)) < 1e-11  # sqrt(T) times the vectors
+        assert np.max(np.abs(fast.loadings - slow.loadings)) < 1e-11
 
     def test_rank_checked_before_any_vector_is_read(self, monkeypatch):
         panel = low_rank(self.M + 20, self.M, 2, seed=9)
@@ -331,7 +345,7 @@ class TestSpectrumFirstRoute:
         with pytest.raises(InvalidArgumentError, match="exceeds the numerical rank 0"):
             pc_fit(panel, 1, eig=eig)
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # the zero-width damped interval is not divided by
+            warnings.simplefilter("error")  # an all-zero tridiagonal is not divided by
             vec = eig.leading(1)
         assert np.array_equal(vec, eig_sym_desc(gram(panel)).vectors[:, :1])
 
@@ -345,10 +359,33 @@ class TestSpectrumFirstRoute:
                     eig.leading(k)
 
     def test_nonfinite_gram_rejected(self):
-        panel = panel_of(np.full((self.M, self.M), 1e300))
-        with np.errstate(over="ignore"), pytest.raises(InvalidArgumentError,
-                                                       match="matrix entries must be finite"):
-            decompose(panel)
+        for n, t in [(self.M, self.M), (30, 20)]:  # the check runs at every T-side m
+            panel = panel_of(np.full((n, t), 1e300))
+            with np.errstate(over="ignore"), pytest.raises(InvalidArgumentError,
+                                                           match="matrix entries must be finite"):
+                decompose(panel)
+
+    @pytest.mark.parametrize("n, t", [(30, 20), (M + 20, M)])
+    def test_unrecognised_blas_takes_eigh(self, monkeypatch, eigh_calls, n, t):
+        """Without the LAPACK routines, ``decompose`` returns ``eig_sym_desc``'s vectors,
+        with the same r-hat and the same fits to roundoff."""
+        panel = simulate_panel(SimConfig(N=n, T=t, r=3, alpha=(0.9, 0.75, 0.6), seed=6))[0]
+        selectors = (select_r_svt, select_r_icp1, select_r_ed, select_r_ah)
+        fast = decompose(panel)
+        r_hats = [select(panel, eig=fast).r_hat for select in selectors]
+        fits = [pc_fit(panel, r, eig=fast) for r in (1, 3)]
+        monkeypatch.setattr(_blas, "_lapack", lambda: None)
+        eigh_calls.clear()
+        slow = decompose(panel)
+        assert eigh_calls == [1] and fast.vectors is None
+        assert slow.side == "T" and slow.tridiagonal is None
+        assert np.array_equal(slow.vectors, eig_sym_desc(gram(panel)).vectors)
+        assert np.max(np.abs(fast.values - slow.values)) < 1e-12 * slow.values[0]
+        assert [select(panel, eig=slow).r_hat for select in selectors] == r_hats
+        for a in fits:
+            b = pc_fit(panel, a.r, eig=slow)
+            assert np.max(np.abs(a.factors - b.factors)) < 1e-12
+            assert np.max(np.abs(a.loadings - b.loadings)) < 1e-12
 
     def test_vectors_byte_identical_across_calls_and_threads(self):
         panel = self.factor_panel(5)
@@ -408,9 +445,9 @@ class TestNumericalRank:
 
 
 class TestDecompositionSize:
-    """Every decomposition a caller makes has dimension min(N, T), on either T-side route."""
+    """Every decomposition a caller makes has dimension min(N, T), on either side."""
 
-    M = pca._FILTER_MIN_DIM
+    M = 200
 
     @pytest.mark.parametrize("n, t", [(20, 50), (50, 20), (M + 5, M)])
     def test_cli_commands(self, tmp_path, eig_dims, n, t):
