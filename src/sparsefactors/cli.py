@@ -114,14 +114,23 @@ def _convert(convert, value, what: str):
         raise InvalidArgumentError(f"invalid {what}: {value!r}") from None
 
 
+def _integer(value) -> int:
+    """An integer flag or config value; a boolean or a number with a fractional part is refused."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(value)
+    return int(value)
+
+
 # simulate's options: key -> converter of a flag or config-file value (None: passed on as
 # given, for SimConfig to check). A key given neither as a flag nor in the config file takes
 # its default (see _resolve), so an explicit 0 is kept.
 _SIMULATE_OPTIONS = {
-    "N": int, "T": int, "r": int, "alpha": lambda v: tuple(float(a) for a in _items(v)),
-    "seed": int, "burn_in": int, "support_mode": None, "standardize": None,
+    "N": _integer, "T": _integer, "r": _integer,
+    "alpha": lambda v: tuple(float(a) for a in _items(v)),
+    "seed": _integer, "burn_in": _integer, "support_mode": None, "standardize": None,
     "contiguous_ranges": lambda v: tuple(tuple(rg) for rg in v),
-    "reps": int, "rmax": int, "c": float, "tasks": lambda v: sorted(_items(v)), "workers": int,
+    "reps": _integer, "rmax": _integer, "c": float, "tasks": lambda v: sorted(_items(v)),
+    "workers": _integer,
 }
 # simulate's keys that are run_replications keywords, with the keyword each one fills
 _RUN_KEYWORDS = {"rmax": "rmax", "c": "c_multiplier", "tasks": "tasks", "workers": "workers"}

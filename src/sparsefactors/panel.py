@@ -185,11 +185,14 @@ def ingest_csv(source, orientation: str = "series_in_rows") -> tuple[Panel, Drop
         names.append(name)
         if has_group:
             try:
-                groups.append(int(float(row[1])))
-            except (ValueError, OverflowError):
+                group = float(row[1])
+            except ValueError:
+                group = math.nan
+            if not group.is_integer():  # also refuses inf and nan
                 raise PanelParseError(
                     f"group id {row[1]!r} is not an integer", location=f"row {i + 2}"
-                ) from None
+                )
+            groups.append(int(group))
         data.append(vals)
 
     if not data:

@@ -12,26 +12,25 @@ The spectrum sums to ``mean(X^2)`` and, as ``F'F/T = I``, the mean squared resid
 ``V(k)`` of the k-factor fit is its tail sum ``mu_{k+1} + ... + mu_min(N,T)``
 (``residual_variances``), never obtained by refitting or by another pass over X.
 
-The selectors read only eigenvalues and a fit only its r leading vectors, so a
-T x T Gram, of any dimension, is reduced once to tridiagonal form (``dsytrd``,
-through ``_blas.tridiagonalize``) and decomposed spectrum first: ``dsterf`` gives
-every eigenvalue (the values numpy's eigenvalues-only ``dsyevd`` call gives, bit for
-bit), and ``SymEig.leading(r)`` later computes the r vectors by MRRR (``dstemr``) on
-the tridiagonal, mapped back through the reduction (``dormtr``). The vectors agree
-with ``eigh``'s to roundoff, except where r cuts through a near tie of eigenvalues.
-There the r-th vector is ill-determined: it is one valid vector of the tied
-cluster, not necessarily ``eigh``'s, and asking for the vectors up to the end of the
-cluster gives a basis of its span. Either way the bits are the same on every call
+The selectors read only eigenvalues and a fit only its r leading vectors, so the
+smaller Gram, of either orientation and any dimension, is reduced once to tridiagonal
+form (``dsytrd``, through ``_blas.tridiagonalize``) and decomposed spectrum first:
+``dsterf`` gives every eigenvalue (the values numpy's eigenvalues-only ``dsyevd`` call
+gives, bit for bit), and ``SymEig.leading(r)`` later computes the r vectors by MRRR
+(``dstemr``) on the tridiagonal, mapped back through the reduction (``dormtr``). The
+vectors agree with ``eigh``'s to roundoff, except where r cuts through a near tie of
+eigenvalues. There the r-th vector is ill-determined: it is one valid vector of the
+tied cluster, not necessarily ``eigh``'s, and asking for the vectors up to the end of
+the cluster gives a basis of its span. Either way the bits are the same on every call
 and every thread; no tie falls back to another route. With a BLAS that is not
-recognised, the T side takes the full ``eigh`` (``eig_sym_desc``), as every N x N
-Gram does.
+recognised, either Gram takes the full ``eigh`` (``eig_sym_desc``).
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -45,14 +44,15 @@ from .panel import Panel
 class SymEig:
     """Symmetric eigendecomposition of a panel Gram, eigenvalues nonincreasing.
 
-    ``values`` is the whole spectrum. ``vectors[:, k]`` is the unit eigenvector
-    for ``values[k]``, sign-fixed so its largest-magnitude entry is positive
-    (ties resolved to the lowest index), or None when no vector was computed;
-    then ``tridiagonal`` holds the Gram's reduction (``dsytrd``'s reflectors,
-    ``tau``, diagonal and subdiagonal) and ``leading`` computes the vectors asked
-    for from it. ``side`` names the panel Gram it came from: "T" for the T x T
-    ``X'X/(NT)`` (vectors over periods), "N" for the N x N ``XX'/(NT)``
-    (vectors over series).
+    ``values`` is the whole spectrum. ``decompose`` leaves ``vectors`` None and
+    keeps the Gram's reduction in ``tridiagonal`` (``dsytrd``'s reflectors, ``tau``,
+    diagonal and subdiagonal), from which ``leading`` computes the vectors asked
+    for. Only ``eig_sym_desc`` (the fallback for an unrecognised BLAS, and the
+    reference of the tests) fills ``vectors``: ``vectors[:, k]`` is the unit
+    eigenvector for ``values[k]``, sign-fixed so its largest-magnitude entry is
+    positive (ties resolved to the lowest index). ``side`` names the panel Gram
+    it came from: "T" for the T x T ``X'X/(NT)`` (vectors over periods), "N" for
+    the N x N ``XX'/(NT)`` (vectors over series).
     """
 
     values: np.ndarray
@@ -121,8 +121,10 @@ def _checked(matrix: np.ndarray) -> np.ndarray:
 
 
 def eig_sym_desc(matrix: np.ndarray) -> SymEig:
-    """Full eigendecomposition of a symmetric matrix, sorted nonincreasing, as side "T".
+    """Full ``eigh`` of a symmetric matrix, sorted nonincreasing, as side "T".
 
+    ``decompose`` falls back to it under a BLAS without the LAPACK routines of
+    ``_blas.tridiagonalize``, and the tests take it as the reference.
     Eigenvectors are sign-normalized: the entry of largest magnitude is made
     positive, ties broken by the lowest index. Exact-tie eigenvalues keep the
     solver's order.
@@ -147,30 +149,27 @@ def decompose(panel: Panel) -> SymEig:
     """Eigendecomposition of the smaller panel Gram, ``XX'/(NT)`` when N < T, else ``gram``.
 
     The result has min(N, T) eigenvalues and records its ``side``; ``pc_fit``
-    maps either side to the same factors. On side "N" the eigenvalues are the
-    Rayleigh quotients ``||X'u_k||^2 / (NT)`` of the eigenvectors, computed
-    from X itself: the Gram's length-T sums would cost the small eigenvalues
-    accuracy that ``X'u_k`` keeps. On side "T" the Gram, whatever its dimension, is
-    reduced to tridiagonal form once: the eigenvalues are ``dsterf``'s (bit for bit
-    numpy's eigenvalues-only values) and ``vectors`` is None, since ``SymEig.leading``
-    computes the few vectors a fit reads from the kept reduction. With a BLAS that
-    is not recognised it is ``eig_sym_desc(gram(panel))``.
+    maps either side to the same factors. The Gram is reduced to tridiagonal form
+    once: the eigenvalues are ``dsterf``'s (bit for bit numpy's eigenvalues-only
+    values) and ``vectors`` is None, since ``SymEig.leading`` computes the few
+    vectors a fit reads from the kept reduction. On either side the small
+    eigenvalues carry absolute roundoff of order ``eps * mu_1``, which
+    ``numerical_rank``'s tolerance allows for. With a BLAS that is not
+    recognised it is ``eig_sym_desc`` of the same Gram.
     """
     x = panel.values
     n, t = x.shape
     if n >= t:
-        g = _checked(gram(panel))
-        tri = _blas.tridiagonalize(g)
-        if tri is None:
-            return eig_sym_desc(g)
-        values = tri.eigenvalues()[::-1].copy()
-        return SymEig(values=values, vectors=None, side="T", tridiagonal=tri)
-    g = x @ x.T / (n * t)
-    vecs = eig_sym_desc((g + g.T) / 2.0).vectors
-    z = x.T @ vecs
-    vals = np.einsum("ij,ij->j", z, z) / (n * t)
-    order = np.argsort(-vals, kind="stable")  # keeps nonincreasing order through roundoff ties
-    return SymEig(values=vals[order], vectors=vecs[:, order], side="N", tridiagonal=None)
+        side, g = "T", gram(panel)
+    else:
+        side, g = "N", x @ x.T / (n * t)
+        g = (g + g.T) / 2.0
+    g = _checked(g)
+    tri = _blas.tridiagonalize(g)
+    if tri is None:
+        return replace(eig_sym_desc(g), side=side)
+    values = tri.eigenvalues()[::-1].copy()
+    return SymEig(values=values, vectors=None, side=side, tridiagonal=tri)
 
 
 def numerical_rank(panel: Panel, eig: SymEig) -> int:
@@ -178,8 +177,8 @@ def numerical_rank(panel: Panel, eig: SymEig) -> int:
 
     ``eig`` decomposes either Gram of ``panel``. Roundoff leaves the null
     eigenvalues of a rank-deficient panel well under this tolerance (at most
-    a fifth of it on random low-rank panels up to 300 x 400); a zero panel
-    has rank 0.
+    0.023 of it on either side, on random panels of rank 1 to 5 from 6 x 400
+    and 400 x 6 up to 100 x 1000 and 1000 x 100); a zero panel has rank 0.
     """
     n, t = panel.values.shape
     tol = max(n, t) * np.finfo(float).eps * eig.values[0]
@@ -196,13 +195,13 @@ def pc_fit(panel: Panel, r: int, eig: SymEig | None = None) -> PcFit:
         Number of factors, 1 <= r <= min(N, T), and at most the panel's
         ``numerical_rank`` (beyond it the factors would be roundoff).
     eig : SymEig, optional
-        Precomputed ``decompose(panel)`` (or a T-side ``eig_sym_desc(gram(panel))``);
+        Precomputed ``decompose(panel)`` (or ``eig_sym_desc`` of ``gram(panel)``, side "T");
         pass it when several fits share one panel so the decomposition is done once.
 
     Notes
     -----
     From an N-side decomposition the factors are ``sqrt(T) X'u_k / ||X'u_k||``
-    with the sign rule of ``eig_sym_desc`` applied to them, which reproduces
+    with the sign rule of ``SymEig`` applied to them, which reproduces
     the T-side factors to roundoff.
     """
     x = panel.values

@@ -94,9 +94,10 @@ def rolling_analysis(
             return r_hats, (), True
         return r_hats, tuple(sorted(est.strength.alpha_hat, reverse=True)), False
 
-    # Windows are independent and numpy releases the GIL in the Gram and eigh. Each window's
-    # BLAS runs on one thread, so the result does not depend on the number of window threads:
-    # as many as the BLAS had (read before pinning makes it 1), 1 when it is not recognised.
+    # Windows are independent, and the GIL is released in the Gram product and in the ctypes
+    # LAPACK calls of the decomposition. Each window's BLAS runs on one thread, so the result
+    # does not depend on the number of window threads: as many as the BLAS had (read before
+    # pinning makes it 1), 1 when it is not recognised.
     threads = _blas.pool_size(_blas.threads() or 1, len(ends))
     with _blas.single_threaded(), ThreadPoolExecutor(threads) as pool:
         r_hats, strengths_out, degenerate = zip(*pool.map(one_window, ends))

@@ -32,7 +32,7 @@ def pc_fit_calls(monkeypatch):
 @pytest.fixture
 def eig_dims(monkeypatch):
     """Dimension of every ``decompose`` made through any sparsefactors module, on either
-    route (full ``eigh``, or spectrum first with vectors on request)."""
+    side (the N x N or the T x T Gram)."""
     dims = []
     _record_calls(monkeypatch, "decompose", lambda eig: dims.append(len(eig.values)))
     return dims
@@ -40,7 +40,8 @@ def eig_dims(monkeypatch):
 
 @pytest.fixture
 def eigh_calls(monkeypatch):
-    """List that grows by one on every full ``eig_sym_desc`` made through any sparsefactors module."""
+    """List that grows by one on every full ``eig_sym_desc`` made through any sparsefactors
+    module: ``decompose`` makes one only under a BLAS it does not recognise."""
     calls = []
     _record_calls(monkeypatch, "eig_sym_desc", lambda eig: calls.append(1))
     return calls

@@ -288,6 +288,8 @@ SIM = ["simulate", "--N", "36", "--T", "36", "--r", "2", "--alpha", "0.9,0.7",
          "standardizing needs at least 2 periods, got 1"),
         (["select-r", "--methods", "wz,bn", "--rmax", "40"], 1,
          "rmax must be at most min(N, T) - 1 = 39 for 'bn' (it reads rmax + 1 eigenvalues), got 40"),
+        (["simulate", "--config", str(DATA / "config_fractional_n.json")], 1,
+         "invalid value for N: 40.7"),
     ],
 )
 def test_explicit_values_are_never_replaced_by_defaults(tmp_path, capsys, argv, code, fragment):

@@ -71,6 +71,8 @@ class TestIngest:
         text = make_csv(["a", "b"], [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], groups=[3, 11])
         panel, _ = ingest_csv(text)
         assert panel.group_ids == (3, 11)
+        panel, _ = ingest_csv("series,group,t1,t2\na,1e3,1,2\nb,4.0,3,4\n")  # integral floats
+        assert panel.group_ids == (1000, 4)
 
     def test_series_in_columns_orientation(self):
         text = "series,a,b\nt0,1.0,10.0\nt1,2.0,20.0\nt2,3.0,30.0\n"
@@ -94,9 +96,11 @@ class TestIngest:
         with pytest.raises(PanelParseError, match=r"malformed CSV.*\(at line 2\)"):
             ingest_csv("series,t0,t1\na,1.0\r2.0,3.0\n")
 
-    def test_overflowing_group_id_raises_parse_error(self):
-        with pytest.raises(PanelParseError, match="group id 'inf' is not an integer"):
-            ingest_csv("series,group,t0,t1\na,inf,1.0,2.0\n")
+    @pytest.mark.parametrize("group", ["inf", "1.5", "2.9"])
+    def test_overflowing_group_id_raises_parse_error(self, group):
+        with pytest.raises(PanelParseError, match=f"group id '{group}' is not an integer") as exc:
+            ingest_csv(f"series,group,t1,t2,t3\na,{group},1,2,3\n")
+        assert exc.value.location == "row 2"
 
     def test_byte_stream_input(self):
         text = make_csv(["a", "b"], [[1.0, 2.0], [3.0, 4.0]])

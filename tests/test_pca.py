@@ -220,7 +220,8 @@ class TestDecompose:
     def test_n_side_matches_t_side(self, n, t):
         panel = random_panel(n, t, seed=n * t)
         small, full = decompose(panel), eig_sym_desc(gram(panel))
-        assert small.side == "N" and small.values.shape == (n,) and small.vectors.shape == (n, n)
+        assert small.side == "N" and small.values.shape == (n,) and small.vectors is None
+        assert small.leading(n).shape == (n, n)
         assert np.max(np.abs(small.values - full.values[:n]) / full.values[0]) < 1e-10
         for r in sorted({1, min(3, n), n}):
             fast, slow = pc_fit(panel, r, eig=small), pc_fit(panel, r, eig=full)
@@ -262,8 +263,8 @@ def spectral_panel(n, t, mu, seed):
 
 
 class TestSpectrumFirstRoute:
-    """Every T x T Gram: one tridiagonal reduction, ``dsterf`` for the spectrum and
-    ``dstemr`` + ``dormtr`` for the leading vectors, with no ``eigh`` fallback."""
+    """Every panel Gram, T x T or N x N: one tridiagonal reduction, ``dsterf`` for the
+    spectrum and ``dstemr`` + ``dormtr`` for the leading vectors, with no ``eigh`` fallback."""
 
     M = 200
 
@@ -275,10 +276,8 @@ class TestSpectrumFirstRoute:
         for m in (3, 20, 199, 200, 209):
             for n, t in [(m, m), (m + 9, m), (m, m + 1)]:
                 eig = decompose(random_panel(n, t, seed=n + t))
-                t_side = n >= t
-                assert eig.side == ("T" if t_side else "N") and len(eig.values) == min(n, t)
-                assert (eig.vectors is None) == t_side  # the N side keeps its eigh vectors
-                assert (eig.tridiagonal is not None) == t_side
+                assert eig.side == ("T" if n >= t else "N") and len(eig.values) == min(n, t)
+                assert eig.vectors is None and eig.tridiagonal is not None  # one route on either side
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_fits_match_the_gram_route(self, eigh_calls, seed):
@@ -301,15 +300,20 @@ class TestSpectrumFirstRoute:
         m = self.M
         mu = np.concatenate([[10.0, 5.0 * (1 + tie), 5.0], np.linspace(1.0, 0.1, m - 3)])
         panel = spectral_panel(m + 20, m, mu, seed=8)
-        eig, full = decompose(panel), eig_sym_desc(gram(panel))
-        eigh_calls.clear()
-        assert np.max(np.abs(eig.leading(1) - full.vectors[:, :1])) < 1e-12
-        v, w = eig.leading(3), full.vectors[:, :3]
-        assert np.max(np.abs(v @ v.T - w @ w.T)) < 1e-12
-        first = eig.leading(2).tobytes()
-        assert eig.leading(2).tobytes() == first
-        assert decompose(panel).leading(2).tobytes() == first
-        assert eigh_calls == []
+        full = eig_sym_desc(gram(panel))
+        # the transposed panel's N x N Gram is this panel's T x T Gram, so it has the same
+        # tie and the same eigenvectors, on side "N"
+        for p, side in [(panel, "T"), (panel_of(panel.values.T), "N")]:
+            eig = decompose(p)
+            eigh_calls.clear()
+            assert eig.side == side
+            assert np.max(np.abs(eig.leading(1) - full.vectors[:, :1])) < 1e-12
+            v, w = eig.leading(3), full.vectors[:, :3]
+            assert np.max(np.abs(v @ v.T - w @ w.T)) < 1e-12
+            first = eig.leading(2).tobytes()
+            assert eig.leading(2).tobytes() == first
+            assert decompose(p).leading(2).tobytes() == first
+            assert eigh_calls == []
 
     @pytest.mark.parametrize("r", [4, 6, 8])
     def test_r_in_the_noise_bulk_falls_back_to_eigh(self, eigh_calls, r):
@@ -365,10 +369,10 @@ class TestSpectrumFirstRoute:
                                                            match="matrix entries must be finite"):
                 decompose(panel)
 
-    @pytest.mark.parametrize("n, t", [(30, 20), (M + 20, M)])
+    @pytest.mark.parametrize("n, t", [(30, 20), (M + 20, M), (20, 30)])
     def test_unrecognised_blas_takes_eigh(self, monkeypatch, eigh_calls, n, t):
-        """Without the LAPACK routines, ``decompose`` returns ``eig_sym_desc``'s vectors,
-        with the same r-hat and the same fits to roundoff."""
+        """Without the LAPACK routines, ``decompose`` returns ``eig_sym_desc``'s vectors of
+        the same Gram, on the same side, with the same r-hat and the same fits to roundoff."""
         panel = simulate_panel(SimConfig(N=n, T=t, r=3, alpha=(0.9, 0.75, 0.6), seed=6))[0]
         selectors = (select_r_svt, select_r_icp1, select_r_ed, select_r_ah)
         fast = decompose(panel)
@@ -378,8 +382,9 @@ class TestSpectrumFirstRoute:
         eigh_calls.clear()
         slow = decompose(panel)
         assert eigh_calls == [1] and fast.vectors is None
-        assert slow.side == "T" and slow.tridiagonal is None
-        assert np.array_equal(slow.vectors, eig_sym_desc(gram(panel)).vectors)
+        assert slow.side == fast.side == ("T" if n >= t else "N") and slow.tridiagonal is None
+        smaller = gram(panel if n >= t else panel_of(panel.values.T))  # XX'/(NT) when N < T
+        assert np.array_equal(slow.vectors, eig_sym_desc(smaller).vectors)
         assert np.max(np.abs(fast.values - slow.values)) < 1e-12 * slow.values[0]
         assert [select(panel, eig=slow).r_hat for select in selectors] == r_hats
         for a in fits:
@@ -388,20 +393,22 @@ class TestSpectrumFirstRoute:
             assert np.max(np.abs(a.loadings - b.loadings)) < 1e-12
 
     def test_vectors_byte_identical_across_calls_and_threads(self):
-        panel = self.factor_panel(5)
-        eig = decompose(panel)
-        first = eig.leading(3).tobytes()
-        assert eig.leading(3).tobytes() == first
-        assert decompose(panel).leading(3).tobytes() == first
         barrier = threading.Barrier(2)
 
         def leading_after_barrier(e):
             barrier.wait(timeout=30)
             return e.leading(3).tobytes()
 
-        with ThreadPoolExecutor(2) as pool:
-            out = list(pool.map(leading_after_barrier, [eig, decompose(panel)]))
-        assert out == [first, first]
+        panel = self.factor_panel(5)
+        for p, side in [(panel, "T"), (panel_of(panel.values.T), "N")]:
+            eig = decompose(p)
+            assert eig.side == side
+            first = eig.leading(3).tobytes()
+            assert eig.leading(3).tobytes() == first
+            assert decompose(p).leading(3).tobytes() == first
+            with ThreadPoolExecutor(2) as pool:
+                out = list(pool.map(leading_after_barrier, [eig, decompose(p)]))
+            assert out == [first, first]
 
 
 def low_rank(n, t, rank, seed):
@@ -445,12 +452,13 @@ class TestNumericalRank:
 
 
 class TestDecompositionSize:
-    """Every decomposition a caller makes has dimension min(N, T), on either side."""
+    """Every decomposition a caller makes has dimension min(N, T), on either side, and none
+    takes the full ``eigh``."""
 
     M = 200
 
     @pytest.mark.parametrize("n, t", [(20, 50), (50, 20), (M + 5, M)])
-    def test_cli_commands(self, tmp_path, eig_dims, n, t):
+    def test_cli_commands(self, tmp_path, eig_dims, eigh_calls, n, t):
         panel, _ = simulate_panel(SimConfig(N=n, T=t, r=2, alpha=(0.9, 0.7), seed=1))
         data = tmp_path / "panel.csv"
         data.write_text(export_csv(panel), encoding="utf-8")
@@ -458,26 +466,26 @@ class TestDecompositionSize:
         for k, argv in enumerate([["estimate", "--r", "2"], ["strengths", "--r", "2"],
                                   ["select-r"], ["heatmap", "--r", "2"]]):
             assert run_cli(argv + base + ["--out", str(tmp_path / f"o{k}")]) == 0
-        assert eig_dims == [min(n, t)] * 4
+        assert eig_dims == [min(n, t)] * 4 and eigh_calls == []
 
     @pytest.mark.parametrize("window", [15, 30])
-    def test_rolling_windows(self, tmp_path, eig_dims, window):
-        self.check_rolling(tmp_path, eig_dims, 20, 40, window)
+    def test_rolling_windows(self, tmp_path, eig_dims, eigh_calls, window):
+        self.check_rolling(tmp_path, eig_dims, eigh_calls, 20, 40, window)
 
-    def test_rolling_windows_spectrum_first(self, tmp_path, eig_dims):
-        self.check_rolling(tmp_path, eig_dims, self.M, self.M + 2, self.M)
+    def test_rolling_windows_spectrum_first(self, tmp_path, eig_dims, eigh_calls):
+        self.check_rolling(tmp_path, eig_dims, eigh_calls, self.M, self.M + 2, self.M)
 
-    def check_rolling(self, tmp_path, eig_dims, n, t, window):
+    def check_rolling(self, tmp_path, eig_dims, eigh_calls, n, t, window):
         panel, _ = simulate_panel(SimConfig(N=n, T=t, r=2, alpha=(0.9, 0.7), seed=2))
         data = tmp_path / "panel.csv"
         data.write_text(export_csv(panel), encoding="utf-8")
         argv = ["rolling", "--data", str(data), "--window", str(window), "--rmax", "3",
                 "--methods", "wz,bn", "--out", str(tmp_path / "o")]
         assert run_cli(argv) == 0
-        assert eig_dims == [min(n, window)] * (t - window + 1)
+        assert eig_dims == [min(n, window)] * (t - window + 1) and eigh_calls == []
 
     @pytest.mark.parametrize("n, t", [(20, 60), (60, 20), (M, M)])
-    def test_replications(self, eig_dims, n, t):
+    def test_replications(self, eig_dims, eigh_calls, n, t):
         report = run_replications(SimConfig(N=n, T=t, r=2, alpha=(0.9, 0.7), seed=3), 2, rmax=3)
         assert report.aggregates["failed"] == 0
-        assert eig_dims == [min(n, t)] * 2
+        assert eig_dims == [min(n, t)] * 2 and eigh_calls == []
