@@ -121,15 +121,22 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _real(value) -> float:
+    """A real-number flag or config value; a boolean is refused."""
+    if isinstance(value, bool):
+        raise ValueError(value)
+    return float(value)
+
+
 # simulate's options: key -> converter of a flag or config-file value (None: passed on as
 # given, for SimConfig to check). A key given neither as a flag nor in the config file takes
 # its default (see _resolve), so an explicit 0 is kept.
 _SIMULATE_OPTIONS = {
     "N": _integer, "T": _integer, "r": _integer,
-    "alpha": lambda v: tuple(float(a) for a in _items(v)),
+    "alpha": lambda v: tuple(_real(a) for a in _items(v)),
     "seed": _integer, "burn_in": _integer, "support_mode": None, "standardize": None,
     "contiguous_ranges": lambda v: tuple(tuple(rg) for rg in v),
-    "reps": _integer, "rmax": _integer, "c": float, "tasks": lambda v: sorted(_items(v)),
+    "reps": _integer, "rmax": _integer, "c": _real, "tasks": lambda v: sorted(_items(v)),
     "workers": _integer,
 }
 # simulate's keys that are run_replications keywords, with the keyword each one fills

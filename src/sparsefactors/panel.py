@@ -25,6 +25,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -44,6 +45,17 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     a.setflags(write=False)
     return a
+
+
+def _group_id(value, position: int) -> int:
+    """``value`` as an int when it is an integral number other than a bool (``3``,
+    ``np.int64(3)`` and ``3.0`` are; ``1.5``, ``True`` and ``"3"`` are not)."""
+    if not isinstance(value, bool) and (
+        isinstance(value, numbers.Integral)
+        or (isinstance(value, numbers.Real) and float(value).is_integer())
+    ):
+        return int(value)
+    raise InvalidArgumentError(f"group id {value!r} at position {position} is not an integer")
 
 
 @dataclass(frozen=True)
@@ -72,7 +84,10 @@ class Panel:
         object.__setattr__(self, "series_ids", tuple(self.series_ids))
         object.__setattr__(self, "time_ids", tuple(self.time_ids))
         if self.group_ids is not None:
-            object.__setattr__(self, "group_ids", tuple(int(g) for g in self.group_ids))
+            groups = tuple(self.group_ids)
+            if any(type(g) is not int for g in groups):  # fast path: rolling re-checks every window
+                groups = tuple(_group_id(g, i) for i, g in enumerate(groups))
+            object.__setattr__(self, "group_ids", groups)
         if self.values.ndim != 2:
             raise InvalidArgumentError("Panel values must be a 2-d matrix")
         n, t = self.values.shape
@@ -119,6 +134,9 @@ def _parse_cell(text: str) -> float:
 def ingest_csv(source, orientation: str = "series_in_rows") -> tuple[Panel, DropReport]:
     """Read a labeled CSV into a Panel, dropping any series with gaps.
 
+    Rows are parsed into floats as they are read; no cell strings are kept.
+    A file with several faults reports the first one in reading order.
+
     Parameters
     ----------
     source : bytes, str, file-like, or path-like
@@ -142,59 +160,118 @@ def ingest_csv(source, orientation: str = "series_in_rows") -> tuple[Panel, Drop
     """
     if orientation not in ("series_in_rows", "series_in_columns"):
         raise InvalidArgumentError(f"unknown orientation {orientation!r}")
-    reader = csv.reader(io.StringIO(_as_text(source)))
+    rows = _csv_rows(_as_text(source))
+    header = next(rows, None)
+    if header is None:
+        raise PanelParseError("empty file")
+    read = _series_in_rows if orientation == "series_in_rows" else _series_in_columns
+    return read(header, rows)
+
+
+def _lines(text: str):
+    """Lines of ``text`` as iterating ``io.StringIO(text)`` yields them: split on "\\n" only,
+    each keeping its newline."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
+def _csv_rows(text: str):
+    """The CSV rows of ``text`` that hold a non-blank cell, read one line at a time."""
+    reader = csv.reader(_lines(text))
     try:
-        rows = [row for row in reader if row and any(c.strip() for c in row)]
+        for row in reader:
+            if row and any(c.strip() for c in row):
+                yield row
     except csv.Error as exc:
         raise PanelParseError(f"malformed CSV: {exc}", location=f"line {reader.line_num}") from None
-    if not rows:
-        raise PanelParseError("empty file")
-    if orientation == "series_in_columns":
-        width = max(len(r) for r in rows)
-        rows = [r + [""] * (width - len(r)) for r in rows]
-        rows = [list(col) for col in zip(*rows)]
 
-    header = [c.strip() for c in rows[0]]
-    body = rows[1:]
-    if not body:
-        raise PanelParseError("no series rows after the header")
 
+def _labels(header: list) -> tuple[bool, tuple]:
+    """``(has_group, time_ids)`` of a header: its stripped cells after the corner cell and
+    the optional ``group`` cell."""
+    header = [c.strip() for c in header]
     has_group = len(header) >= 2 and header[1].lower() == "group"
-    first_data_col = 2 if has_group else 1
-    time_ids = tuple(header[first_data_col:])
+    return has_group, tuple(header[2 if has_group else 1:])
+
+
+def _series_in_rows(header: list, rows) -> tuple[Panel, DropReport]:
+    """``ingest_csv`` for series in rows: each row is parsed and checked as it is read."""
+    has_group, time_ids = _labels(header)
+    first, t = (2 if has_group else 1), len(time_ids)
+
+    def series():
+        for row in rows:
+            cells = row[first : first + t]
+            if len(cells) < t:
+                cells += [""] * (t - len(cells))
+            group = row[1] if has_group and len(row) > 1 else ""
+            yield row[0].strip(), group, np.fromiter(map(_parse_cell, cells), float, t)
+
+    return _checked_panel(time_ids, has_group, series())
+
+
+def _series_in_columns(header: list, rows) -> tuple[Panel, DropReport]:
+    """``ingest_csv`` for series in columns: each row (one period, or the group row) is
+    parsed as it is read, and the series are checked once the whole file is read."""
+    first_cells, groups, periods = [header[0]], None, []
+    for row in rows:
+        first_cells.append(row[0])
+        if groups is None and not periods and row[0].strip().lower() == "group":
+            groups = row
+        else:
+            periods.append(np.fromiter(map(_parse_cell, row[1:]), float, len(row) - 1))
+    width = max([len(header), len(groups or ())] + [len(p) + 1 for p in periods])
+    block = np.full((len(periods), width - 1), np.nan)
+    for k, period in enumerate(periods):
+        block[k, : len(period)] = period
+    del periods  # the block holds them, and _checked_panel's vstack makes one more N x T copy
+    values = block.T
+    has_group, time_ids = _labels(first_cells)
+
+    def series():
+        for j in range(1, width):
+            name = header[j].strip() if j < len(header) else ""
+            group = groups[j] if groups is not None and j < len(groups) else ""
+            yield name, group, values[j - 1]
+
+    return _checked_panel(time_ids, has_group, series())
+
+
+def _checked_panel(time_ids: tuple, has_group: bool, series) -> tuple[Panel, DropReport]:
+    """The panel and drop report of ``series``, ``(name, group cell, values)`` per series in
+    file order, each checked as it arrives."""
     if len(time_ids) < 2:
         raise PanelParseError("fewer than 2 time points", location="header row")
-
     names, groups, data = [], [], []
     report = DropReport()
     seen = set()
-    for i, row in enumerate(body):
-        name = row[0].strip() if row else ""
+    for i, (name, group_cell, vals) in enumerate(series):
         if not name:
             raise PanelParseError("missing series name", location=f"row {i + 2}")
         if name in seen:
             raise PanelParseError(f"duplicate series {name!r}", location=f"row {i + 2}")
         seen.add(name)
-        cells = row[first_data_col:]
-        if len(cells) < len(time_ids):
-            cells = cells + [""] * (len(time_ids) - len(cells))
-        vals = np.array([_parse_cell(c) for c in cells[: len(time_ids)]])
         if np.isnan(vals).any():
             report.add(name, "missing, unparseable or non-finite observations")
             continue
         names.append(name)
         if has_group:
             try:
-                group = float(row[1])
+                group = float(group_cell)
             except ValueError:
                 group = math.nan
             if not group.is_integer():  # also refuses inf and nan
                 raise PanelParseError(
-                    f"group id {row[1]!r} is not an integer", location=f"row {i + 2}"
+                    f"group id {group_cell!r} is not an integer", location=f"row {i + 2}"
                 )
             groups.append(int(group))
         data.append(vals)
 
+    if not seen:
+        raise PanelParseError("no series rows after the header")
     if not data:
         raise PanelParseError("all series were dropped (missing observations everywhere)")
     panel = Panel(

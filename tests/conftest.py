@@ -60,3 +60,14 @@ def two_cpus(monkeypatch):
     """The process sees two usable CPUs, so a pool of two threads is not capped to one."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+
+@pytest.fixture
+def fuzz_bytes():
+    """Hypothesis strategy: arbitrary bytes, mixed with byte strings built from CSV-shaped
+    tokens."""
+    st = pytest.importorskip("hypothesis.strategies")
+    tokens = [b",", b"\n", b"\r", b'"', b" ", b"series", b"code", b"group", b"s0", b"s1", b"t1",
+              b"0", b"1", b"5", b"9", b"x", b"-2.5", b"1e308", b"1e999", b"inf", b"nan",
+              b"\x00", b"\xff", b"\xc3\xa9"]
+    return st.binary(max_size=400) | st.lists(st.sampled_from(tokens), max_size=120).map(b"".join)

@@ -113,6 +113,14 @@ class TestSimulateCommand:
         assert set(config) == set(expected) | {"N", "T", "r", "alpha", "seed"}
         assert {key: config[key] for key in expected} == expected
 
+    def test_real_flags_are_accepted(self, tmp_path):
+        out = tmp_path / "o"
+        assert run_cli(["simulate", "--N", "36", "--T", "36", "--r", "2", "--alpha", "0.9,0.7",
+                        "--c", "1", "--seed", "2", "--reps", "1", "--rmax", "4",
+                        "--out", str(out)]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert (config["c"], config["alpha"]) == (1.0, [0.9, 0.7])
+
     def test_invalid_range_is_user_error(self, tmp_path, capsys):
         code = run_cli(["simulate", "--N", "36", "--T", "36", "--r", "2",
                         "--alpha", "0.7,0.9", "--reps", "1", "--out", str(tmp_path / "x")])
@@ -290,6 +298,10 @@ SIM = ["simulate", "--N", "36", "--T", "36", "--r", "2", "--alpha", "0.9,0.7",
          "rmax must be at most min(N, T) - 1 = 39 for 'bn' (it reads rmax + 1 eigenvalues), got 40"),
         (["simulate", "--config", str(DATA / "config_fractional_n.json")], 1,
          "invalid value for N: 40.7"),
+        (["simulate", "--config", str(DATA / "config_boolean_c.json")], 1,
+         "invalid value for c: True"),
+        (["simulate", "--config", str(DATA / "config_boolean_alpha.json")], 1,
+         "invalid value for alpha: [True, 0.7]"),
     ],
 )
 def test_explicit_values_are_never_replaced_by_defaults(tmp_path, capsys, argv, code, fragment):
@@ -339,21 +351,12 @@ def test_unwritable_output_directory_exits_one(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: cannot write output directory {data}")
 
 
-def _fuzz_bytes():
-    """Arbitrary bytes, mixed with byte strings built from CSV-shaped tokens."""
-    st = pytest.importorskip("hypothesis.strategies")
-    tokens = [b",", b"\n", b"\r", b'"', b" ", b"series", b"code", b"group", b"s0", b"s1", b"t1",
-              b"0", b"1", b"5", b"9", b"x", b"-2.5", b"1e308", b"1e999", b"inf", b"nan",
-              b"\x00", b"\xff", b"\xc3\xa9"]
-    return st.binary(max_size=400) | st.lists(st.sampled_from(tokens), max_size=120).map(b"".join)
-
-
 @pytest.mark.parametrize("flag", ["--data", "--tcodes"])
-def test_arbitrary_input_bytes_never_exit_two(flag):
+def test_arbitrary_input_bytes_never_exit_two(flag, fuzz_bytes):
     hypothesis = pytest.importorskip("hypothesis")
 
     @hypothesis.settings(max_examples=150, deadline=None, database=None)
-    @hypothesis.given(_fuzz_bytes())
+    @hypothesis.given(fuzz_bytes)
     def check(payload):
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)

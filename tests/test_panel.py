@@ -1,9 +1,12 @@
+import csv
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from csv_oracle import reference_ingest_csv
 from sparsefactors import (
     DegenerateSeriesError,
     InsufficientSampleError,
@@ -20,27 +23,60 @@ from sparsefactors import (
 )
 
 
-def make_csv(names, matrix, time_ids=None, groups=None, holes=()):
+ORIENTATIONS = ("series_in_rows", "series_in_columns")
+
+
+def make_csv(names, matrix, time_ids=None, groups=None, holes=(), orientation="series_in_rows",
+             newline="\n", final_newline=True):
     """Build CSV text; holes is a set of (series_index, time_index) blanks."""
     t = len(matrix[0])
     time_ids = time_ids or [f"t{j}" for j in range(t)]
-    header = ["series"] + (["group"] if groups else []) + list(time_ids)
-    lines = [",".join(header)]
+    rows = [["series"] + (["group"] if groups else []) + list(time_ids)]
     for i, name in enumerate(names):
         cells = ["" if (i, j) in holes else repr(matrix[i][j]) for j in range(t)]
-        row = [name] + ([str(groups[i])] if groups else []) + cells
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+        rows.append([name] + ([str(groups[i])] if groups else []) + cells)
+    if orientation == "series_in_columns":
+        rows = list(zip(*rows))
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator=newline).writerows(rows)
+    text = buf.getvalue()
+    return text if final_newline else text[: -len(newline)]
+
+
+def layouts(names, matrix, **kwargs):
+    """``(text, orientation)`` of one panel in both orientations, each with "\\n" and "\\r\\n"
+    line endings and without a newline after the last line."""
+    for orientation in ORIENTATIONS:
+        for newline, final_newline in (("\n", True), ("\r\n", True), ("\n", False)):
+            yield make_csv(names, matrix, orientation=orientation, newline=newline,
+                           final_newline=final_newline, **kwargs), orientation
+
+
+def panel_texts():
+    """Hypothesis strategy: UTF-8 CSV text of short rows of names and mostly numeric cells,
+    with "\\n" or "\\r\\n" line endings; about a fifth of them are panels in either
+    orientation. A cell may hold a bare "\\r" or U+2028, which are not line breaks."""
+    st = pytest.importorskip("hypothesis.strategies")
+    name = st.sampled_from(["a", "b", " c ", '"d\ne"', "f", "g", "", "group"])
+    value = st.sampled_from(["1", "-2.5", "0.125", " 7 ", "3.0", "1e3", "-0.0"] * 4
+                            + ["", "x", "inf", "1.5", "group", "4\rh", "5\u2028h"])
+    row = st.tuples(name, st.lists(value, min_size=2, max_size=4)).map(
+        lambda r: ",".join([r[0], *r[1]]))
+    return st.tuples(st.lists(row, min_size=1, max_size=6), st.sampled_from(["\n", "\r\n"]),
+                     st.booleans()).map(lambda t: (t[1].join(t[0]) + t[1] * t[2]).encode())
 
 
 class TestIngest:
     def test_dense_file_is_ingested_bit_exactly(self):
         vals = [[1.5, -2.25, 0.125, 3.0], [0.1, 0.2, 0.3, 0.4], [9.0, 8.0, 7.0, 6.0]]
-        panel, report = ingest_csv(make_csv(["a", "b", "c"], vals))
-        assert panel.values.shape == (3, 4)
-        assert np.array_equal(panel.values, np.array(vals))
-        assert panel.series_ids == ("a", "b", "c")
-        assert len(report) == 0
+        for names in (["a", "b", "c"], ["a", "quoted\nname", "c"]):
+            for text, orientation in layouts(names, vals):
+                panel, report = ingest_csv(text, orientation=orientation)
+                assert panel.values.shape == (3, 4)
+                assert np.array_equal(panel.values, np.array(vals))
+                assert panel.series_ids == tuple(names)
+                assert panel.time_ids == ("t0", "t1", "t2", "t3")
+                assert len(report) == 0
 
     def test_gappy_series_are_dropped_with_report(self):
         # FRED-QD-style: 181 series, 2 of them with gaps -> 179 survivors
@@ -48,16 +84,18 @@ class TestIngest:
         names = [f"v{i:03d}" for i in range(181)]
         vals = rng.normal(size=(181, 40)).tolist()
         holes = {(17, 5), (90, 0), (90, 39)}
-        panel, report = ingest_csv(make_csv(names, vals, holes=holes))
-        assert panel.n_series == 179
-        assert len(report) == 2
-        assert {name for name, _ in report.dropped} == {"v017", "v090"}
-        assert "v017" not in panel.series_ids
+        for text, orientation in layouts(names, vals, holes=holes):
+            panel, report = ingest_csv(text, orientation=orientation)
+            assert panel.n_series == 179
+            assert len(report) == 2
+            assert {name for name, _ in report.dropped} == {"v017", "v090"}
+            assert "v017" not in panel.series_ids
 
     def test_duplicate_series_name_raises(self):
-        text = make_csv(["a", "a"], [[1.0, 2.0], [3.0, 4.0]])
-        with pytest.raises(PanelParseError, match="duplicate series"):
-            ingest_csv(text)
+        for text, orientation in layouts(["a", "a"], [[1.0, 2.0], [3.0, 4.0]]):
+            with pytest.raises(PanelParseError, match="duplicate series") as exc:
+                ingest_csv(text, orientation=orientation)
+            assert exc.value.location == "row 3"
 
     def test_empty_file_raises(self):
         with pytest.raises(PanelParseError, match="empty"):
@@ -68,9 +106,11 @@ class TestIngest:
             ingest_csv("series,t0\na,1.0\n")
 
     def test_group_column_is_parsed(self):
-        text = make_csv(["a", "b"], [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], groups=[3, 11])
-        panel, _ = ingest_csv(text)
-        assert panel.group_ids == (3, 11)
+        for text, orientation in layouts(["a", "b"], [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]],
+                                         groups=[3, 11]):
+            panel, _ = ingest_csv(text, orientation=orientation)
+            assert panel.group_ids == (3, 11)
+            assert panel.time_ids == ("t0", "t1", "t2")
         panel, _ = ingest_csv("series,group,t1,t2\na,1e3,1,2\nb,4.0,3,4\n")  # integral floats
         assert panel.group_ids == (1000, 4)
 
@@ -106,6 +146,39 @@ class TestIngest:
         text = make_csv(["a", "b"], [[1.0, 2.0], [3.0, 4.0]])
         panel, _ = ingest_csv(io.BytesIO(text.encode()))
         assert panel.n_series == 2
+
+    @pytest.mark.parametrize("orientation", ORIENTATIONS)
+    def test_peak_memory_stays_near_the_text_size(self, orientation):
+        # a FRED-QD-sized file: no per-cell strings may outlive their row
+        rng = np.random.default_rng(7)
+        names = [f"S{i:03d}" for i in range(248)]
+        text = make_csv(names, rng.normal(size=(248, 260)).tolist(), orientation=orientation)
+        tracemalloc.start()
+        try:
+            ingest_csv(text, orientation=orientation)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * len(text)
+
+    @pytest.mark.parametrize("orientation", ORIENTATIONS)
+    def test_matches_the_materializing_reader(self, orientation, fuzz_bytes):
+        hypothesis = pytest.importorskip("hypothesis")
+
+        def outcome(read, payload):
+            try:
+                panel, report = read(payload, orientation=orientation)
+            except Exception as exc:  # the error type is what is compared
+                return type(exc)
+            return (panel.values.shape, panel.values.tobytes(), panel.series_ids,
+                    panel.time_ids, panel.group_ids, report.dropped)
+
+        @hypothesis.settings(max_examples=300, deadline=None, database=None)
+        @hypothesis.given(fuzz_bytes | panel_texts())
+        def check(payload):
+            assert outcome(ingest_csv, payload) == outcome(reference_ingest_csv, payload)
+
+        check()
 
     def test_round_trip_property(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -288,6 +361,17 @@ class TestPanelInvariants:
             Panel(np.zeros((2, 3)), ["a"], ["t0", "t1", "t2"])
         with pytest.raises(ValueError):
             Panel(np.zeros((2, 3)), ["a", "b"], ["t0", "t1"])
+
+    @pytest.mark.parametrize("group", [1.5, True, "3"])
+    def test_non_integral_group_id_rejected(self, group):
+        with pytest.raises(InvalidArgumentError, match=f"group id {group!r} at position 1 "):
+            Panel(np.zeros((2, 2)), ["a", "b"], ["t0", "t1"], group_ids=(2, group))
+
+    def test_integral_group_ids_are_stored_as_int(self):
+        panel = Panel(np.zeros((3, 2)), ["a", "b", "c"], ["t0", "t1"],
+                      group_ids=(np.int64(4), 3.0, 7))
+        assert panel.group_ids == (4, 3, 7)
+        assert all(type(g) is int for g in panel.group_ids)
 
     def test_values_are_immutable(self):
         panel = Panel(np.zeros((2, 2)), ["a", "b"], ["t0", "t1"])
