@@ -7,7 +7,8 @@ thread count reads None and :func:`single_threaded` leaves it alone.
 
 :func:`tridiagonalize` binds four LAPACK routines of the same library, each one
 ctypes call made without the interpreter lock: ``dsytrd`` reduces a symmetric
-matrix to tridiagonal form, ``dsterf`` gives the whole spectrum from it,
+matrix to tridiagonal form (on a copy; :func:`tridiagonalize_in_place` reduces a
+Fortran-ordered matrix in its own buffer), ``dsterf`` gives the whole spectrum from it,
 ``dstemr`` (the MRRR algorithm of Dhillon, Parlett & Vömel, ACM TOMS 32(4),
 2006) the eigenvectors of the tridiagonal for the top k eigenvalues, and
 ``dormtr`` maps them back through the reduction. With a BLAS that is not
@@ -133,9 +134,18 @@ class Tridiagonal:
 def tridiagonalize(matrix: np.ndarray) -> Tridiagonal | None:
     """``dsytrd`` of a symmetric matrix (lower triangle, input not overwritten), or None
     when the BLAS is not recognised."""
-    a = np.array(matrix, dtype=np.float64, order="F")  # dsytrd overwrites its input
+    return tridiagonalize_in_place(np.array(matrix, dtype=np.float64, order="F"))
+
+
+def tridiagonalize_in_place(a: np.ndarray) -> Tridiagonal | None:
+    """``dsytrd`` of a symmetric, writeable, Fortran-contiguous float64 matrix, read from its
+    lower triangle and overwritten with the reflectors, so the result's ``a`` is ``a``; or
+    None, with ``a`` untouched, when the BLAS is not recognised. The transpose of a C-ordered
+    symmetric array is such a matrix."""
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.dtype != np.float64 or not (a.flags.f_contiguous and a.flags.writeable):
+        raise ValueError("expected a writeable, Fortran-contiguous float64 matrix")
     lapack = _lapack()
     if lapack is None:
         return None

@@ -26,7 +26,7 @@ import csv
 import io
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,7 +42,12 @@ VALID_TCODES = (1, 2, 3, 4, 5, 6, 7)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
+    """``a`` as a read-only float array, copied unless it is C- or F-contiguous, so that BLAS
+    reads it in place and forms ``X'X`` and ``XX'`` exactly symmetric (of some strided views
+    numpy multiplies two copies, a product symmetric only to roundoff)."""
     a = np.asarray(a, dtype=float)
+    if not (a.flags.c_contiguous or a.flags.f_contiguous):
+        a = np.ascontiguousarray(a)
     a.setflags(write=False)
     return a
 
@@ -65,7 +70,8 @@ class Panel:
     Parameters
     ----------
     values : ndarray, shape (N, T)
-        Observations; rows are series, columns are time periods.
+        Observations; rows are series, columns are time periods. Kept read-only
+        and C- or F-contiguous (any other view is copied), so BLAS reads it in place.
     series_ids : tuple of str
         N series names.
     time_ids : tuple of str
@@ -85,7 +91,7 @@ class Panel:
         object.__setattr__(self, "time_ids", tuple(self.time_ids))
         if self.group_ids is not None:
             groups = tuple(self.group_ids)
-            if any(type(g) is not int for g in groups):  # fast path: rolling re-checks every window
+            if any(type(g) is not int for g in groups):  # fast path: ingestion gives plain ints
                 groups = tuple(_group_id(g, i) for i, g in enumerate(groups))
             object.__setattr__(self, "group_ids", groups)
         if self.values.ndim != 2:
@@ -99,6 +105,18 @@ class Panel:
             raise InvalidArgumentError(f"{len(self.group_ids)} group ids for {n} rows")
         if not np.all(np.isfinite(self.values)):
             raise InvalidArgumentError("Panel values must be finite (no missing entries)")
+
+    def _derived(self, values: np.ndarray, time_ids: tuple | None = None) -> Panel:
+        """A panel of this one's series and group ids over ``values``, made without the checks
+        of ``__post_init__``: ``values`` must be derived from this panel's checked values, as a
+        slice of its columns labelled ``time_ids``, or as its standardization (finite, same
+        shape, time ids kept). Read-only like every panel's values."""
+        values.setflags(write=False)
+        derived = object.__new__(Panel)
+        derived.__dict__.update(values=values, series_ids=self.series_ids,
+                                time_ids=self.time_ids if time_ids is None else time_ids,
+                                group_ids=self.group_ids)
+        return derived
 
     @property
     def n_series(self) -> int:
@@ -405,7 +423,7 @@ def standardize(panel: Panel) -> Panel:
     DegenerateSeriesError
         If some series is constant, or its mean or variance overflows, naming it.
     """
-    return replace(panel, values=_standardized(panel)[0])
+    return panel._derived(_standardized(panel)[0])
 
 
 def _standardized(panel: Panel) -> tuple[np.ndarray, np.ndarray]:

@@ -14,16 +14,20 @@ The spectrum sums to ``mean(X^2)`` and, as ``F'F/T = I``, the mean squared resid
 
 The selectors read only eigenvalues and a fit only its r leading vectors, so the
 smaller Gram, of either orientation and any dimension, is reduced once to tridiagonal
-form (``dsytrd``, through ``_blas.tridiagonalize``) and decomposed spectrum first:
-``dsterf`` gives every eigenvalue (the values numpy's eigenvalues-only ``dsyevd`` call
-gives, bit for bit), and ``SymEig.leading(r)`` later computes the r vectors by MRRR
-(``dstemr``) on the tridiagonal, mapped back through the reduction (``dormtr``). The
-vectors agree with ``eigh``'s to roundoff, except where r cuts through a near tie of
-eigenvalues. There the r-th vector is ill-determined: it is one valid vector of the
-tied cluster, not necessarily ``eigh``'s, and asking for the vectors up to the end of
-the cluster gives a basis of its span. Either way the bits are the same on every call
-and every thread; no tie falls back to another route. With a BLAS that is not
-recognised, either Gram takes the full ``eigh`` (``eig_sym_desc``).
+form (``dsytrd``) and decomposed spectrum first. One m x m buffer carries the Gram from
+the product to the reduction: numpy forms ``X'X`` or ``XX'`` of the one panel array as a
+symmetric rank-k update (``syrk``) and mirrors its triangle, so the product is exactly
+symmetric with no symmetrization pass; it is scaled in place, and ``dsytrd`` overwrites
+it with its reflectors (``_blas.tridiagonalize_in_place``). ``dsterf`` then gives every
+eigenvalue (the values numpy's eigenvalues-only ``dsyevd`` call gives, bit for bit), and
+``SymEig.leading(r)`` later computes the r vectors by MRRR (``dstemr``) on the
+tridiagonal, mapped back through the reduction (``dormtr``). The vectors agree with
+``eigh``'s to roundoff, except where r cuts through a near tie of eigenvalues. There the
+r-th vector is ill-determined: it is one valid vector of the tied cluster, not
+necessarily ``eigh``'s, and asking for the vectors up to the end of the cluster gives a
+basis of its span. Either way the bits are the same on every call and every thread; no
+tie falls back to another route. With a BLAS that is not recognised, either Gram takes
+the full ``eigh`` (``eig_sym_desc``).
 """
 
 from __future__ import annotations
@@ -104,11 +108,13 @@ class PcFit:
 
 
 def gram(panel: Panel) -> np.ndarray:
-    """T x T matrix ``X'X/(NT)``, symmetrized to kill roundoff asymmetry."""
+    """T x T matrix ``X'X/(NT)``, exactly symmetric: numpy's product of an array with its own
+    transpose mirrors one computed triangle into the other."""
     x = panel.values
     n, t = x.shape
-    g = x.T @ x / (n * t)
-    return (g + g.T) / 2.0
+    g = x.T @ x
+    g /= n * t
+    return g
 
 
 def _checked(matrix: np.ndarray) -> np.ndarray:
@@ -124,7 +130,7 @@ def eig_sym_desc(matrix: np.ndarray) -> SymEig:
     """Full ``eigh`` of a symmetric matrix, sorted nonincreasing, as side "T".
 
     ``decompose`` falls back to it under a BLAS without the LAPACK routines of
-    ``_blas.tridiagonalize``, and the tests take it as the reference.
+    ``_blas.tridiagonalize_in_place``, and the tests take it as the reference.
     Eigenvectors are sign-normalized: the entry of largest magnitude is made
     positive, ties broken by the lowest index. Exact-tie eigenvalues keep the
     solver's order.
@@ -150,22 +156,21 @@ def decompose(panel: Panel) -> SymEig:
 
     The result has min(N, T) eigenvalues and records its ``side``; ``pc_fit``
     maps either side to the same factors. The Gram is reduced to tridiagonal form
-    once: the eigenvalues are ``dsterf``'s (bit for bit numpy's eigenvalues-only
-    values) and ``vectors`` is None, since ``SymEig.leading`` computes the few
-    vectors a fit reads from the kept reduction. On either side the small
-    eigenvalues carry absolute roundoff of order ``eps * mu_1``, which
-    ``numerical_rank``'s tolerance allows for. With a BLAS that is not
-    recognised it is ``eig_sym_desc`` of the same Gram.
+    once, in the Gram's own buffer, which ``tridiagonal.a`` then is: the eigenvalues
+    are ``dsterf``'s (bit for bit numpy's eigenvalues-only values) and ``vectors`` is
+    None, since ``SymEig.leading`` computes the few vectors a fit reads from the kept
+    reduction. On either side the small eigenvalues carry absolute roundoff of order
+    ``eps * mu_1``, which ``numerical_rank``'s tolerance allows for. With a BLAS that
+    is not recognised it is ``eig_sym_desc`` of the same Gram.
     """
     x = panel.values
     n, t = x.shape
     if n >= t:
         side, g = "T", gram(panel)
     else:
-        side, g = "N", x @ x.T / (n * t)
-        g = (g + g.T) / 2.0
-    g = _checked(g)
-    tri = _blas.tridiagonalize(g)
+        side, g = "N", x @ x.T
+        g /= n * t
+    tri = _blas.tridiagonalize_in_place(_checked(g).T)  # the symmetric g's Fortran view
     if tri is None:
         return replace(eig_sym_desc(g), side=side)
     values = tri.eigenvalues()[::-1].copy()

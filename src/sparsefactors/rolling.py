@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,7 +85,7 @@ def rolling_analysis(
     def one_window(t):
         """(r_hat per method, strengths sorted nonincreasing, degenerate flag) of window ``t``."""
         sl = slice(t - window, t)
-        win = replace(panel, values=panel.values[:, sl], time_ids=panel.time_ids[sl])
+        win = panel._derived(panel.values[:, sl], panel.time_ids[sl])
         est = estimate(standardize(win), rmax=rmax, c=c_multiplier)  # est.r is the "wz" count
         r_hats = tuple(
             est.r if m == "wz" else SELECTORS[m](est.panel, rmax=rmax, eig=est.eig).r_hat
@@ -156,7 +156,7 @@ def subperiod_heatmap(
             raise InvalidArgumentError(f"time label not in panel: {exc}") from exc
         if lo > hi:
             raise InvalidArgumentError(f"empty time range {time_range}")
-    sub = replace(panel, values=panel.values[:, lo : hi + 1], time_ids=panel.time_ids[lo : hi + 1])
+    sub = panel._derived(panel.values[:, lo : hi + 1], panel.time_ids[lo : hi + 1])
     est = estimate(standardize(sub), r, rmax=rmax, c=c_multiplier)
     if est.fit is None:
         values = np.zeros((sub.n_series, 0))

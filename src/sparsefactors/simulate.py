@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
 
 import numpy as np
@@ -250,7 +250,7 @@ def simulate_panel(config: SimConfig, rep: int = 0) -> tuple[Panel, SimTruth]:
     scale = np.ones(config.N)
     if config.standardize:
         values, scale = _standardized(panel)
-        panel = replace(panel, values=values)
+        panel = panel._derived(values)
     truth = SimTruth(F0=f0, Lambda0=lam0, supports0=supports, scale=scale,
                      standardized=config.standardize)
     return panel, truth

@@ -1,5 +1,6 @@
 import os
 import sys
+import tracemalloc
 
 import pytest
 
@@ -19,6 +20,21 @@ def _record_calls(monkeypatch, name, record):
     for modname, module in list(sys.modules.items()):
         if modname.split(".")[0] == "sparsefactors" and getattr(module, name, None) is real:
             monkeypatch.setattr(module, name, recording)
+
+
+@pytest.fixture
+def peak_bytes():
+    """``peak_bytes(fn)``: the tracemalloc peak of the allocations made while ``fn()`` runs."""
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return peak
 
 
 @pytest.fixture

@@ -101,6 +101,30 @@ def test_eigvalsh_is_numpys_bit_for_bit(n):
     assert np.array_equal(m, before)  # the input is not overwritten
 
 
+@needs_lapacke
+def test_in_place_reduction_is_the_copying_one_in_the_input_buffer():
+    a = np.random.default_rng(4).normal(size=(50, 50))
+    m = a @ a.T
+    copied = _blas.tridiagonalize(m)
+    in_place = _blas.tridiagonalize_in_place(m.T)  # the Fortran view of the symmetric m
+    assert np.shares_memory(in_place.a, m)
+    for name in ("a", "tau", "d", "e"):
+        assert np.array_equal(getattr(in_place, name), getattr(copied, name))
+
+
+def read_only(a):
+    a.setflags(write=False)
+    return a
+
+
+@pytest.mark.parametrize("matrix", [np.ones((4, 3), order="F"), np.ones((3, 3)),
+                                    np.ones((3, 3), dtype=np.float32, order="F"),
+                                    read_only(np.ones((3, 3), order="F"))])
+def test_in_place_reduction_rejects_what_it_cannot_overwrite(matrix):
+    with pytest.raises(ValueError, match="square|Fortran"):
+        _blas.tridiagonalize_in_place(matrix)
+
+
 def test_eigvalsh_rejects_a_non_square_matrix():
     with pytest.raises(ValueError, match="square"):
         _blas.tridiagonalize(np.ones((3, 4)))

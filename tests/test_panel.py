@@ -1,7 +1,6 @@
 import csv
 import io
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,18 +147,12 @@ class TestIngest:
         assert panel.n_series == 2
 
     @pytest.mark.parametrize("orientation", ORIENTATIONS)
-    def test_peak_memory_stays_near_the_text_size(self, orientation):
+    def test_peak_memory_stays_near_the_text_size(self, orientation, peak_bytes):
         # a FRED-QD-sized file: no per-cell strings may outlive their row
         rng = np.random.default_rng(7)
         names = [f"S{i:03d}" for i in range(248)]
         text = make_csv(names, rng.normal(size=(248, 260)).tolist(), orientation=orientation)
-        tracemalloc.start()
-        try:
-            ingest_csv(text, orientation=orientation)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * len(text)
+        assert peak_bytes(lambda: ingest_csv(text, orientation=orientation)) < 2 * len(text)
 
     @pytest.mark.parametrize("orientation", ORIENTATIONS)
     def test_matches_the_materializing_reader(self, orientation, fuzz_bytes):
@@ -377,3 +370,26 @@ class TestPanelInvariants:
         panel = Panel(np.zeros((2, 2)), ["a", "b"], ["t0", "t1"])
         with pytest.raises(ValueError):
             panel.values[0, 0] = 1.0
+
+    @pytest.mark.parametrize("view", [np.s_[::2, ::3], np.s_[::-1, :], np.s_[:, 1:5], "F"])
+    def test_values_are_c_or_f_contiguous(self, view):
+        base = np.arange(60.0).reshape(6, 10)
+        values = np.asfortranarray(base) if view == "F" else base[view]
+        n, t = values.shape
+        panel = Panel(values, [f"s{i}" for i in range(n)], [f"t{j}" for j in range(t)])
+        assert np.array_equal(panel.values, values)
+        if view == "F":  # read in place, not copied
+            assert panel.values.flags.f_contiguous and np.shares_memory(panel.values, values)
+        else:
+            assert panel.values.flags.c_contiguous
+
+    def test_derived_panels_are_read_only_and_keep_the_labels(self):
+        panel = Panel(np.arange(12.0).reshape(3, 4), ["a", "b", "c"], ["t0", "t1", "t2", "t3"],
+                      group_ids=(np.int64(2), 1, 2))
+        window = panel._derived(panel.values[:, 1:3], panel.time_ids[1:3])
+        std = standardize(window)
+        for derived in (window, std):
+            assert not derived.values.flags.writeable
+            assert derived.series_ids == panel.series_ids and derived.group_ids == (2, 1, 2)
+            assert derived.time_ids == ("t1", "t2")
+        assert np.array_equal(window.values, panel.values[:, 1:3])

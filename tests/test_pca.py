@@ -68,6 +68,27 @@ class TestGram:
         g = gram(random_panel(7, 13, seed=2))
         assert np.array_equal(g, g.T)
 
+    @pytest.mark.parametrize("layout", ["C", "F", "column slice", "strided"])
+    @pytest.mark.parametrize("n, t", [(200, 100), (100, 200)])
+    def test_both_grams_exactly_symmetric_on_every_layout(self, monkeypatch, layout, n, t):
+        """No symmetrization pass: the product itself is symmetric, on either side."""
+        x = np.random.default_rng(n).normal(size=(n, 3 * t))
+        panel = {"C": lambda: panel_of(x[:, :t]),
+                 "F": lambda: panel_of(np.asfortranarray(x[:, :t])),
+                 "column slice": lambda: panel_of(x)._derived(x[:, t : 2 * t], tuple(range(t))),
+                 "strided": lambda: panel_of(x[:, ::3])}[layout]()
+        reduced, real = [], _blas.tridiagonalize_in_place
+
+        def recording(a):
+            reduced.append(a.copy())
+            return real(a)
+
+        monkeypatch.setattr(_blas, "tridiagonalize_in_place", recording)
+        decompose(panel)
+        for g in (gram(panel), *reduced):
+            assert np.array_equal(g, g.T)
+        assert len(reduced) == (_blas._lapack() is not None)
+
 
 class TestEigSymDesc:
     def test_diagonal_matrix(self):
@@ -248,6 +269,13 @@ class TestDecompose:
         full = eig_sym_desc(gram(panel))
         fit = pc_fit(panel, 2, eig=full)
         assert np.array_equal(fit.factors, np.sqrt(30) * full.vectors[:, :2])
+
+    @pytest.mark.skipif(_blas._lapack() is None, reason="LAPACKE not recognised")
+    @pytest.mark.parametrize("n, t", [(400, 400), (100, 1000)])
+    def test_holds_one_gram(self, peak_bytes, n, t):
+        """The Gram is formed, scaled and reduced in one m x m buffer."""
+        panel, m = random_panel(n, t, seed=n + t), min(n, t)
+        assert peak_bytes(lambda: decompose(panel)) <= 1.25 * m * m * 8
 
     def test_spectrum_is_nonincreasing(self):
         for n, t in [(10, 200), (30, 31)]:

@@ -45,6 +45,33 @@ class TestRollingAnalysis:
         assert fitted > 0
         assert len(pc_fit_calls) == fitted <= len(result.endpoints)
 
+    def test_panels_are_not_rechecked_per_window(self, monkeypatch):
+        panel, _ = sim_panel(30, 70, seed=3)
+        checks, real = [], Panel.__post_init__
+
+        def counting(self):
+            checks.append(1)
+            real(self)
+
+        monkeypatch.setattr(Panel, "__post_init__", counting)
+        counts = []
+        for window in (70, 30):  # one window, then 41
+            checks.clear()
+            rolling_analysis(panel, window=window, rmax=4)
+            counts.append(len(checks))
+        assert counts[0] == counts[1]
+
+    def test_numpy_integer_group_ids(self):
+        panel, _ = sim_panel(30, 70, seed=4)
+        groups = np.arange(30) % 4 + 1
+        plain, numpy_ids = (Panel(panel.values, panel.series_ids, panel.time_ids, group_ids=ids)
+                            for ids in (groups.tolist(), groups))
+        assert rolling_analysis(plain, window=40, rmax=4) == rolling_analysis(numpy_ids,
+                                                                              window=40, rmax=4)
+        labels = [subperiod_heatmap(p, time_range=("t010", "t059"), rmax=4, r=1).row_labels
+                  for p in (plain, numpy_ids)]
+        assert labels[0] == labels[1] and labels[0][:2] == ("#1 s001", "#2 s002")
+
     def test_window_count_and_order(self):
         panel, _ = sim_panel(30, 70, seed=2)
         result = rolling_analysis(panel, window=40, methods=("wz",), rmax=4)
