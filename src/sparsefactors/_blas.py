@@ -5,13 +5,12 @@ exports ``scipy_openblas_get_num_threads64_`` and
 ``scipy_openblas_set_num_threads64_``. Any other BLAS is not recognised: its
 thread count reads None and :func:`single_threaded` leaves it alone.
 
-:func:`tridiagonalize` binds four LAPACK routines of the same library, each one
-ctypes call made without the interpreter lock: ``dsytrd`` reduces a symmetric
-matrix to tridiagonal form (on a copy; :func:`tridiagonalize_in_place` reduces a
-Fortran-ordered matrix in its own buffer), ``dsterf`` gives the whole spectrum from it,
-``dstemr`` (the MRRR algorithm of Dhillon, Parlett & Vömel, ACM TOMS 32(4),
-2006) the eigenvectors of the tridiagonal for the top k eigenvalues, and
-``dormtr`` maps them back through the reduction. With a BLAS that is not
+:func:`tridiagonalize_in_place` binds four LAPACK routines of the same library, each
+one ctypes call made without the interpreter lock: ``dsytrd`` reduces a symmetric,
+Fortran-ordered matrix to tridiagonal form in its own buffer, ``dsterf`` gives the
+whole spectrum from it, ``dstemr`` (the MRRR algorithm of Dhillon, Parlett & Vömel,
+ACM TOMS 32(4), 2006) the eigenvectors of the tridiagonal for the top k eigenvalues,
+and ``dormtr`` maps them back through the reduction. With a BLAS that is not
 recognised it returns None.
 
 Work that runs in parallel does so on threads inside :func:`single_threaded`, on a
@@ -129,12 +128,6 @@ class Tridiagonal:
         _ok(dormtr(_COL_MAJOR, b"L", b"L", b"N", n, k, self.a.ctypes.data, n, self.tau.ctypes.data,
                    z.ctypes.data, n), "dormtr")
         return z[:, ::-1].copy()
-
-
-def tridiagonalize(matrix: np.ndarray) -> Tridiagonal | None:
-    """``dsytrd`` of a symmetric matrix (lower triangle, input not overwritten), or None
-    when the BLAS is not recognised."""
-    return tridiagonalize_in_place(np.array(matrix, dtype=np.float64, order="F"))
 
 
 def tridiagonalize_in_place(a: np.ndarray) -> Tridiagonal | None:

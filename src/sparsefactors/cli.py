@@ -39,7 +39,7 @@ import numpy as np
 from . import __version__, _blas
 from .errors import InvalidArgumentError, SparseFactorsError
 from .factor_count import DEFAULT_RMAX, diagnostics_json, select_r
-from .panel import VALID_TCODES, align_and_trim, ingest_csv, standardize
+from .panel import VALID_TCODES, align_and_trim, csv_text, ingest_csv, standardize
 from .pca import export_pc_fit
 from .rolling import heatmap_to_csv, rolling_analysis, rolling_to_csv, subperiod_heatmap
 from .screening import DEFAULT_C, estimate, sparse_summary
@@ -145,11 +145,16 @@ _RUN_KEYWORDS = {"rmax": "rmax", "c": "c_multiplier", "tasks": "tasks", "workers
 
 def _resolve(args: argparse.Namespace) -> dict:
     """Merge config-file values with flags (flags win), fill in defaults and convert each value.
+    A config-file key that names no option is refused.
 
     The defaults are SimConfig's field defaults, run_replications' keyword defaults, and the
     CLI's own: 100 replications and a seed drawn per run (None here).
     """
     file_cfg = _load_config_file(args.config)
+    unknown = sorted(set(file_cfg) - set(_SIMULATE_OPTIONS))
+    if unknown:
+        raise InvalidArgumentError(f"config file {args.config} has unknown key(s) "
+                                   + ", ".join(map(repr, unknown)))
     run = inspect.signature(run_replications).parameters
     defaults = {**{f.name: f.default for f in fields(SimConfig) if f.default is not MISSING},
                 **{key: run[keyword].default for key, keyword in _RUN_KEYWORDS.items()},
@@ -217,33 +222,27 @@ def _cmd_simulate(args) -> tuple[dict, dict, dict]:
     return files, resolved, facts
 
 
-def _csv_text(rows) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
-
-
 def _report_tables(report, config) -> dict:
     agg, nt = report.aggregates, [config.N, config.T]
     files = {}
     if agg.get("r_hat"):
-        files["factor_counts.csv"] = _csv_text(
+        files["factor_counts.csv"] = csv_text(
             [["N", "T", "method", "rmse", "bias", "mean"]]
             + [nt + [m, s["rmse"], s["bias"], s["mean"]] for m, s in sorted(agg["r_hat"].items())]
         )
     if agg.get("mean_tr_f") is not None:
-        files["estimation.csv"] = _csv_text([
+        files["estimation.csv"] = csv_text([
             ["N", "T", "tr_f", "tr_lambda", "rmse_c"],
             nt + [agg["mean_tr_f"], agg["mean_tr_lambda"], agg["mean_rmse_c"]],
         ])
     if agg.get("fdr") is not None:
-        files["support_recovery.csv"] = _csv_text(
+        files["support_recovery.csv"] = csv_text(
             [["N", "T", "factor", "fdr", "power"]]
             + [nt + [k, f, p] for k, (f, p) in enumerate(zip(agg["fdr"], agg["power"]), start=1)]
             + [nt + ["overall", agg["mean_fdr_overall"], agg["mean_power_overall"]]]
         )
     if agg.get("alpha_hat") is not None:
-        files["strengths.csv"] = _csv_text(
+        files["strengths.csv"] = csv_text(
             [["N", "T", "factor", "alpha_true", "rmse", "bias", "mean"]]
             + [nt + [k + 1, config.alpha[k], s["rmse"], s["bias"], s["mean"]]
                for k, s in enumerate(agg["alpha_hat"])]
@@ -261,10 +260,9 @@ def _cmd_estimate(args) -> tuple[dict, dict]:
         "factors.csv": tables["factors"],
         "loadings.csv": tables["loadings"],
         "eigenvalues.csv": tables["eigenvalues"],
-        "screened_loadings.csv": _csv_text(
+        "screened_loadings.csv": csv_text(
             [["series"] + [f"pc{k + 1}" for k in range(est.r)]]
-            + [[name] + [repr(float(v)) for v in row]
-               for name, row in zip(panel.series_ids, est.sparse.lambda_hat)]
+            + [[name] + row for name, row in zip(panel.series_ids, est.sparse.lambda_hat.tolist())]
         ),
         "strengths.json": json.dumps(sparse_summary(est, args.c), indent=2) + "\n",
     }
@@ -276,7 +274,7 @@ def _cmd_select_r(args) -> tuple[dict, dict]:
     methods = args.methods.split(",")
     results = select_r(panel, methods, rmax=args.rmax)
     files = {
-        "r_hat.csv": _csv_text([methods, [results[m].r_hat for m in methods]]),
+        "r_hat.csv": csv_text([methods, [results[m].r_hat for m in methods]]),
         "diagnostics.json": json.dumps(diagnostics_json(results), indent=2, sort_keys=True) + "\n",
     }
     return files, _data_config(args, methods=methods)

@@ -23,9 +23,9 @@ code  transformation
 from __future__ import annotations
 
 import csv
-import io
 import math
 import numbers
+import types
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,10 +44,10 @@ VALID_TCODES = (1, 2, 3, 4, 5, 6, 7)
 def _readonly(a: np.ndarray) -> np.ndarray:
     """``a`` as a read-only float array, copied unless it is C- or F-contiguous, so that BLAS
     reads it in place and forms ``X'X`` and ``XX'`` exactly symmetric (of some strided views
-    numpy multiplies two copies, a product symmetric only to roundoff)."""
+    numpy multiplies two copies, a product symmetric only to roundoff). A contiguous ``a`` is
+    viewed, not copied, and stays writeable to its owner."""
     a = np.asarray(a, dtype=float)
-    if not (a.flags.c_contiguous or a.flags.f_contiguous):
-        a = np.ascontiguousarray(a)
+    a = a.view() if a.flags.c_contiguous or a.flags.f_contiguous else np.ascontiguousarray(a)
     a.setflags(write=False)
     return a
 
@@ -71,7 +71,9 @@ class Panel:
     ----------
     values : ndarray, shape (N, T)
         Observations; rows are series, columns are time periods. Kept read-only
-        and C- or F-contiguous (any other view is copied), so BLAS reads it in place.
+        and C- or F-contiguous, so BLAS reads it in place: a C- or F-contiguous float
+        array is kept as a read-only view of the caller's array, which stays writeable
+        (a change to it shows in the panel); anything else is copied.
     series_ids : tuple of str
         N series names.
     time_ids : tuple of str
@@ -90,9 +92,7 @@ class Panel:
         object.__setattr__(self, "series_ids", tuple(self.series_ids))
         object.__setattr__(self, "time_ids", tuple(self.time_ids))
         if self.group_ids is not None:
-            groups = tuple(self.group_ids)
-            if any(type(g) is not int for g in groups):  # fast path: ingestion gives plain ints
-                groups = tuple(_group_id(g, i) for i, g in enumerate(groups))
+            groups = tuple(_group_id(g, i) for i, g in enumerate(self.group_ids))
             object.__setattr__(self, "group_ids", groups)
         if self.values.ndim != 2:
             raise InvalidArgumentError("Panel values must be a 2-d matrix")
@@ -321,18 +321,32 @@ def export_csv(panel: Panel) -> str:
     Floats are rendered with :func:`repr` so finite decimals round-trip
     bit-exactly through ``ingest_csv``.
     """
-    buf = io.StringIO()
-    plain = csv.writer(buf, lineterminator="\n")
-    # csv quotes only the characters of its line terminator: a row holding "\r" needs QUOTE_ALL
-    quoted = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
     groups = panel.group_ids
-    rows = [["series"] + (["group"] if groups is not None else []) + list(panel.time_ids)]
-    for i, name in enumerate(panel.series_ids):
-        rows.append([name] + ([str(groups[i])] if groups is not None else [])
-                    + [repr(float(v)) for v in panel.values[i]])
+    head = ["series"] + (["group"] if groups is not None else [])
+    return csv_text([head + list(panel.time_ids)] + [
+        [name] + ([groups[i]] if groups is not None else []) + row
+        for i, (name, row) in enumerate(zip(panel.series_ids, panel.values.tolist()))])
+
+
+def csv_text(rows) -> str:
+    """``rows`` as CSV text in the one dialect of every table the package writes.
+
+    Lines end in "\\n". A float cell (a numpy one too) is written as ``repr(float(v))``,
+    which reads back bit for bit; any other cell as csv writes it (None as ""). csv quotes
+    only the characters of its own line terminator, so a row with a string cell holding
+    "\\r" is written with every cell quoted, and reads back intact.
+    """
+    lines = []
+    sink = types.SimpleNamespace(write=lines.append)  # csv.writer writes a row in one call
+    plain = csv.writer(sink, lineterminator="\n")
+    quoted = csv.writer(sink, lineterminator="\n", quoting=csv.QUOTE_ALL)
     for row in rows:
-        (quoted if any("\r" in cell for cell in row) else plain).writerow(row)
-    return buf.getvalue()
+        row = [float(v) if isinstance(v, np.floating) else v for v in row]  # str(float) is repr
+        plain.writerow(row)
+        if "\r" in lines[-1]:  # only a string cell can hold one
+            lines.pop()
+            quoted.writerow(row)
+    return "".join(lines)
 
 
 def apply_tcode(series, code: int) -> np.ndarray:

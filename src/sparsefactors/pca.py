@@ -32,8 +32,6 @@ the full ``eigh`` (``eig_sym_desc``).
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -41,7 +39,7 @@ import numpy as np
 
 from . import _blas
 from .errors import InvalidArgumentError
-from .panel import Panel
+from .panel import Panel, csv_text
 
 
 @dataclass(frozen=True)
@@ -250,20 +248,12 @@ def export_pc_fit(fit: PcFit, panel: Panel) -> dict[str, str]:
     cols = [f"pc{k + 1}" for k in range(fit.r)]
 
     def table(row_label, row_ids, mat):
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow([row_label] + cols)
-        for rid, row in zip(row_ids, mat):
-            w.writerow([rid] + [repr(float(v)) for v in row])
-        return buf.getvalue()
+        return csv_text([[row_label] + cols]
+                        + [[rid] + row for rid, row in zip(row_ids, mat.tolist())])
 
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["k", "eigenvalue"])
-    for k, v in enumerate(fit.eigvals, start=1):
-        w.writerow([k, repr(float(v))])
     return {
         "factors": table("time", panel.time_ids, fit.factors),
         "loadings": table("series", panel.series_ids, fit.loadings),
-        "eigenvalues": buf.getvalue(),
+        "eigenvalues": csv_text([["k", "eigenvalue"]]
+                                + [[k, v] for k, v in enumerate(fit.eigvals.tolist(), start=1)]),
     }

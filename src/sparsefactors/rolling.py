@@ -8,8 +8,6 @@ endpoint labels each record.
 
 from __future__ import annotations
 
-import csv
-import io
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -18,7 +16,7 @@ import numpy as np
 from . import _blas
 from .errors import InvalidArgumentError
 from .factor_count import DEFAULT_RMAX, SELECTORS
-from .panel import Panel, standardize
+from .panel import Panel, csv_text, standardize
 from .screening import DEFAULT_C, estimate
 
 HEATMAP_CENSOR = 3.0
@@ -115,21 +113,12 @@ def rolling_to_csv(result: RollingResult) -> str:
     """One row per window endpoint: r_hat per method, then the sorted strengths."""
     methods = sorted(result.r_hat_series)
     max_r = max((len(s) for s in result.strength_series), default=0)
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(
-        ["endpoint"]
-        + [f"r_hat_{m}" for m in methods]
-        + [f"alpha_{k + 1}" for k in range(max_r)]
-        + ["note"]
-    )
-    for i, ep in enumerate(result.endpoints):
-        row = [ep] + [result.r_hat_series[m][i] for m in methods]
-        alphas = result.strength_series[i]
-        row += [repr(float(a)) for a in alphas] + [""] * (max_r - len(alphas))
-        row.append(result.notes[i])
-        w.writerow(row)
-    return buf.getvalue()
+    head = (["endpoint"] + [f"r_hat_{m}" for m in methods]
+            + [f"alpha_{k + 1}" for k in range(max_r)] + ["note"])
+    return csv_text([head] + [
+        [ep] + [result.r_hat_series[m][i] for m in methods]
+        + list(alphas) + [""] * (max_r - len(alphas)) + [result.notes[i]]
+        for i, (ep, alphas) in enumerate(zip(result.endpoints, result.strength_series))])
 
 
 def subperiod_heatmap(
@@ -178,11 +167,8 @@ def subperiod_heatmap(
 
 def heatmap_to_csv(export: HeatmapExport) -> str:
     """CSV with '#'-prefixed metadata lines, then one row per series."""
-    buf = io.StringIO()
-    buf.write(f"# censored |screened loading| heat map, right-censored at {HEATMAP_CENSOR}\n")
-    buf.write(f"# columns: {len(export.column_labels)}\n")
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["series"] + list(export.column_labels))
-    for label, row in zip(export.row_labels, export.values):
-        w.writerow([label] + [repr(float(v)) for v in row])
-    return buf.getvalue()
+    return (f"# censored |screened loading| heat map, right-censored at {HEATMAP_CENSOR}\n"
+            f"# columns: {len(export.column_labels)}\n"
+            + csv_text([["series"] + list(export.column_labels)]
+                       + [[label] + row
+                          for label, row in zip(export.row_labels, export.values.tolist())]))

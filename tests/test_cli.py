@@ -1,5 +1,7 @@
+import csv
 import hashlib
 import inspect
+import io
 import json
 import tempfile
 import warnings
@@ -9,7 +11,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparsefactors import SimConfig, _blas, export_csv, run_replications, simulate_panel
+from sparsefactors import (
+    Panel,
+    SimConfig,
+    _blas,
+    export_csv,
+    export_pc_fit,
+    heatmap_to_csv,
+    ingest_csv,
+    pc_fit,
+    rolling_analysis,
+    rolling_to_csv,
+    run_replications,
+    simulate_panel,
+    standardize,
+    subperiod_heatmap,
+)
 from sparsefactors.cli import run_cli
 
 DATA = Path(__file__).parent / "data"
@@ -302,6 +319,8 @@ SIM = ["simulate", "--N", "36", "--T", "36", "--r", "2", "--alpha", "0.9,0.7",
          "invalid value for c: True"),
         (["simulate", "--config", str(DATA / "config_boolean_alpha.json")], 1,
          "invalid value for alpha: [True, 0.7]"),
+        (["simulate", "--config", str(DATA / "config_unknown_key.json")], 1,
+         "config_unknown_key.json has unknown key(s) 'rmx', 'worker'"),
     ],
 )
 def test_explicit_values_are_never_replaced_by_defaults(tmp_path, capsys, argv, code, fragment):
@@ -366,5 +385,58 @@ def test_arbitrary_input_bytes_never_exit_two(flag, fuzz_bytes):
                 argv += ["--tcodes", str(tmp / "fuzz.bin")]
             (tmp / "fuzz.bin").write_bytes(payload)
             assert run_cli(argv) in (0, 1)
+
+    check()
+
+
+def read_table(text):
+    """The rows of CSV ``text``, read as csv reads a file opened with ``newline=""``."""
+    return list(csv.reader(io.StringIO(text, newline="")))
+
+
+def test_every_csv_table_reads_back_with_its_labels():
+    """Every table the package writes parses with csv and gives back its labels, whatever
+    characters they hold: a "\\r" in a label needs its row quoted."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    label = st.text(alphabet='ab \r\n",', max_size=5).map(lambda s: f"x{s}y")  # as ingested
+    n, t = 16, 24
+
+    @hypothesis.settings(max_examples=25, deadline=None, database=None)
+    @hypothesis.given(st.lists(label, min_size=n, max_size=n, unique=True),
+                      st.lists(label, min_size=t, max_size=t))
+    def check(names, times):
+        values = np.random.default_rng(7).normal(size=(n, t))
+        panel = Panel(values, names, times, group_ids=tuple(range(1, n + 1)))
+
+        again, _ = ingest_csv(export_csv(panel))
+        assert (again.series_ids, again.time_ids) == (panel.series_ids, panel.time_ids)
+
+        fit = pc_fit(panel, 2)
+        docs = {k: read_table(v) for k, v in export_pc_fit(fit, panel).items()}
+        assert [row[0] for row in docs["factors"][1:]] == list(times)
+        assert [row[0] for row in docs["loadings"][1:]] == list(names)
+        assert np.array_equal([[float(v) for v in row[1:]] for row in docs["factors"][1:]],
+                              fit.factors)
+        assert [float(row[1]) for row in docs["eigenvalues"][1:]] == fit.eigvals.tolist()
+
+        result = rolling_analysis(standardize(panel), window=12, methods=("wz",), rmax=4)
+        assert tuple(row[0] for row in read_table(rolling_to_csv(result))[1:]) == result.endpoints
+
+        export = subperiod_heatmap(panel, rmax=4, r=1)
+        comments = heatmap_to_csv(export).split("\n", 2)
+        assert [line[0] for line in comments[:2]] == ["#", "#"]
+        rows = read_table(comments[2])
+        assert tuple(rows[0][1:]) == export.column_labels
+        assert tuple(row[0] for row in rows[1:]) == export.row_labels
+
+        with tempfile.TemporaryDirectory() as tmp:
+            data, out = Path(tmp) / "panel.csv", Path(tmp) / "o"
+            data.write_text(export_csv(panel), encoding="utf-8")
+            assert run_cli(["estimate", "--data", str(data), "--r", "2", "--out", str(out)]) == 0
+            for name, first in [("factors.csv", times), ("loadings.csv", names),
+                                ("screened_loadings.csv", names)]:
+                with open(out / name, encoding="utf-8", newline="") as fh:
+                    assert [row[0] for row in list(csv.reader(fh))[1:]] == list(first)
 
     check()

@@ -371,6 +371,14 @@ class TestPanelInvariants:
         with pytest.raises(ValueError):
             panel.values[0, 0] = 1.0
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_callers_array_stays_writeable(self, order):
+        values = np.zeros((2, 2), order=order)
+        panel = Panel(values, ["a", "b"], ["t0", "t1"])
+        assert np.shares_memory(panel.values, values) and not panel.values.flags.writeable
+        values[0, 0] = 1.0
+        assert panel.values[0, 0] == 1.0  # a read-only view of the caller's array
+
     @pytest.mark.parametrize("view", [np.s_[::2, ::3], np.s_[::-1, :], np.s_[:, 1:5], "F"])
     def test_values_are_c_or_f_contiguous(self, view):
         base = np.arange(60.0).reshape(6, 10)
