@@ -45,10 +45,11 @@ class FactorCountResult:
 
 
 def check_rmax(methods, rmax: int, n: int, t: int) -> None:
-    """Require that every rule in ``methods`` can read its eigenvalues of an N x T panel.
+    """Require that every rule in ``methods`` can run on an N x T panel with ``rmax``.
 
-    Each rule reads ``rmax + EXTRA_EIGENVALUES[method]`` of the min(N, T) eigenvalues. The
-    message names the rule that reads the most, the first by name among equals.
+    Each rule reads ``rmax + EXTRA_EIGENVALUES[method]`` of the min(N, T) eigenvalues; the
+    message names the rule that reads the most, the first by name among equals. The SVT rule
+    ("wz") also needs N >= 16, the least N at which its threshold's ``ln ln N`` reaches 1.
     """
     m = min(n, t)
     if not 1 <= rmax <= m:
@@ -59,6 +60,8 @@ def check_rmax(methods, rmax: int, n: int, t: int) -> None:
             raise InvalidArgumentError(
                 f"rmax must be at most min(N, T) - {extra} = {m - extra} for {method!r} "
                 f"(it reads rmax + {extra} eigenvalues), got {rmax}")
+    if "wz" in methods and n < 16:
+        raise InvalidArgumentError(f"N must be at least 16 for the double-log threshold, got {n}")
 
 
 def _prep(panel: Panel, method: str, rmax: int, eig: SymEig | None) -> SymEig:
@@ -79,9 +82,7 @@ def select_r_svt(panel: Panel, rmax: int = DEFAULT_RMAX, eig: SymEig | None = No
     threshold. Exactly low-rank data (sigma2 = 0) make the rule vacuous; the
     rank of X capped at rmax is returned with a note.
     """
-    n, t = panel.values.shape
-    if n < 16:
-        raise InvalidArgumentError(f"N must be at least 16 for the double-log threshold, got {n}")
+    n = panel.n_series
     eig = _prep(panel, "wz", rmax, eig)
     sigma2 = float(residual_variances(eig, rmax)[-1])
     notes = []

@@ -3,7 +3,8 @@
 Span recovery is measured with trace statistics (invariant to invertible
 column mixing, so no sign/rotation alignment is needed), common components
 with an entrywise root mean squared error, and support recovery with false
-discovery proportions and recall. Per-factor quantities pair estimated
+discovery proportions and recall, counted on N x r boolean support masks
+(column k holds factor k's units). Per-factor quantities pair estimated
 columns (eigenvalue order) with true columns (strength order) by rank.
 """
 
@@ -66,29 +67,29 @@ def rmse_c(lambda0: np.ndarray, f0: np.ndarray, lambda_hat: np.ndarray, f_hat: n
     return float(np.sqrt(max(sq, 0.0) / (l0.shape[0] * f0.shape[0])))
 
 
-def fdr_power(true_support, est_support) -> tuple[float, float]:
-    """Per-replication false discovery proportion and recall.
+def _overlap(true_support, est_support, axis=None) -> tuple:
+    """``|S & Sh|``, ``|Sh|`` and ``|S|`` of two N x r support masks, counted over ``axis``."""
+    s, sh = np.asarray(true_support, dtype=bool), np.asarray(est_support, dtype=bool)
+    if s.ndim != 2 or s.shape != sh.shape:
+        raise InvalidArgumentError(f"supports must be N x r masks of one shape, got {s.shape} and {sh.shape}")
+    return np.count_nonzero(s & sh, axis=axis), np.count_nonzero(sh, axis=axis), np.count_nonzero(s, axis=axis)
 
-    ``fdp = |S^c & Sh| / (|Sh| v 1)`` and ``power = |S & Sh| / (|S| v 1)``;
-    the ``v 1`` guards make empty sets well-defined (empty estimate gives
-    (0, 0) against a nonempty truth).
+
+def fdr_power(true_support, est_support) -> tuple[tuple, tuple]:
+    """Per-factor false discovery proportions and recalls of two N x r support masks.
+
+    Column k gives ``fdp_k = |S_k^c & Sh_k| / (|Sh_k| v 1)`` and ``power_k = |S_k & Sh_k| /
+    (|S_k| v 1)``; the ``v 1`` guards give (0, 0) for an empty estimate of a nonempty truth.
     """
-    s = frozenset(true_support)
-    sh = frozenset(est_support)
-    fdp = len(sh - s) / max(len(sh), 1)
-    power = len(sh & s) / max(len(s), 1)
-    return fdp, power
+    hits, found, true = _overlap(true_support, est_support, axis=0)
+    fdp, power = (found - hits) / np.maximum(found, 1), hits / np.maximum(true, 1)
+    return tuple(fdp.tolist()), tuple(power.tolist())
 
 
-def pooled_fdr_power(true_supports, est_supports, n: int) -> tuple[float, float]:
-    """Overall FDP/recall pooling all factors' (unit, factor) loading cells."""
-    if len(true_supports) != len(est_supports):
-        raise InvalidArgumentError("need one estimated support per true support")
-    s = {(k, i) for k, sup in enumerate(true_supports) for i in sup}
-    sh = {(k, i) for k, sup in enumerate(est_supports) for i in sup}
-    fdp = len(sh - s) / max(len(sh), 1)
-    power = len(sh & s) / max(len(s), 1)
-    return fdp, power
+def pooled_fdr_power(true_support, est_support) -> tuple[float, float]:
+    """Overall FDP/recall of two N x r support masks, pooling all (unit, factor) cells."""
+    hits, found, true = _overlap(true_support, est_support)
+    return float((found - hits) / max(found, 1)), float(hits / max(true, 1))
 
 
 def rotation_q(f_hat: np.ndarray, f0: np.ndarray) -> tuple[np.ndarray, dict]:

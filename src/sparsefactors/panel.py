@@ -42,12 +42,11 @@ VALID_TCODES = (1, 2, 3, 4, 5, 6, 7)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    """``a`` as a read-only float array, copied unless it is C- or F-contiguous, so that BLAS
-    reads it in place and forms ``X'X`` and ``XX'`` exactly symmetric (of some strided views
-    numpy multiplies two copies, a product symmetric only to roundoff). A contiguous ``a`` is
-    viewed, not copied, and stays writeable to its owner."""
-    a = np.asarray(a, dtype=float)
-    a = a.view() if a.flags.c_contiguous or a.flags.f_contiguous else np.ascontiguousarray(a)
+    """A read-only float copy of ``a``, so no later write to ``a`` reaches the checked values.
+    The copy keeps a C- or F-contiguous ``a``'s order and makes any other view contiguous, so
+    BLAS reads it in place and forms ``X'X`` and ``XX'`` exactly symmetric (of some strided
+    views numpy multiplies two copies, a product symmetric only to roundoff)."""
+    a = np.array(a, dtype=float, order="K")
     a.setflags(write=False)
     return a
 
@@ -70,10 +69,10 @@ class Panel:
     Parameters
     ----------
     values : ndarray, shape (N, T)
-        Observations; rows are series, columns are time periods. Kept read-only
-        and C- or F-contiguous, so BLAS reads it in place: a C- or F-contiguous float
-        array is kept as a read-only view of the caller's array, which stays writeable
-        (a change to it shows in the panel); anything else is copied.
+        Observations; rows are series, columns are time periods. The panel keeps a
+        read-only copy, C- or F-contiguous as the given array is (any other view is made
+        contiguous), so BLAS reads it in place; the caller's array stays writeable, and
+        a later change to it does not reach the panel.
     series_ids : tuple of str
         N series names.
     time_ids : tuple of str

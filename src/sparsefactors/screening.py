@@ -2,8 +2,8 @@
 
 Small loading estimates are mostly rotation contamination plus estimation
 noise, so zeroing every entry with ``|loading| <= c / sqrt(ln(NT))`` recovers
-the sparsity pattern. The count of survivors per factor yields the strength
-estimate ``alpha_k = ln(count_k) / ln(N)``.
+the sparsity pattern (an N x r boolean mask). The count of survivors per factor
+yields the strength estimate ``alpha_k = ln(count_k) / ln(N)``.
 
 ``estimate`` runs the whole chain on one panel: ``threshold_value`` ->
 ``decompose`` -> r (given, or ``select_r_svt``) -> ``pc_fit`` -> ``screen``
@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .factor_count import DEFAULT_RMAX, FactorCountResult, select_r_svt
+from .metrics import _overlap
 from .panel import Panel
 from .pca import PcFit, SymEig, decompose, pc_fit
 
@@ -30,17 +31,19 @@ WEAK_CUTOFF = 0.90
 
 @dataclass(frozen=True)
 class SparseFit:
-    """Screened loadings with per-factor support sets.
-
-    ``lambda_hat`` keeps an entry exactly when its magnitude strictly exceeds
-    ``threshold``; ``supports[k]`` is the set of surviving unit indices for
-    factor k and ``counts[k]`` its size.
-    """
+    """Screened loadings: ``lambda_hat`` keeps an entry exactly when its magnitude strictly
+    exceeds ``threshold`` (> 0), so their N x r ``support`` mask is ``lambda_hat != 0``."""
 
     lambda_hat: np.ndarray
-    supports: tuple
-    counts: tuple
     threshold: float
+
+    @property
+    def support(self) -> np.ndarray:
+        return self.lambda_hat != 0
+
+    @property
+    def counts(self) -> tuple:
+        return tuple(np.count_nonzero(self.support, axis=0).tolist())
 
 
 @dataclass(frozen=True)
@@ -79,13 +82,8 @@ def screen(fit: PcFit, threshold: float) -> SparseFit:
     if threshold <= 0:
         raise InvalidArgumentError(f"threshold must be positive, got {threshold}")
     lam = fit.loadings
-    keep = np.abs(lam) > threshold
-    lambda_hat = np.where(keep, lam, 0.0)
-    supports = tuple(frozenset(np.nonzero(keep[:, k])[0].tolist()) for k in range(fit.r))
-    counts = tuple(len(s) for s in supports)
-    return SparseFit(
-        lambda_hat=lambda_hat, supports=supports, counts=counts, threshold=float(threshold)
-    )
+    return SparseFit(lambda_hat=np.where(np.abs(lam) > threshold, lam, 0.0),
+                     threshold=float(threshold))
 
 
 def _label(alpha: float, count: int) -> str:
@@ -98,13 +96,14 @@ def _label(alpha: float, count: int) -> str:
     return "indeterminate"
 
 
-def strengths(sparse: SparseFit, n: int) -> StrengthEstimate:
-    """Per-factor strength ``ln(count)/ln(N)``.
+def strengths(sparse: SparseFit) -> StrengthEstimate:
+    """Per-factor strength ``ln(count)/ln(N)``, N being the rows of ``sparse.lambda_hat``.
 
     Degenerate supports are made total: a count of 0 or 1 maps to strength 0
     (``ln 0`` is never evaluated), with label ``reduced`` when the support is
     empty.
     """
+    n = sparse.lambda_hat.shape[0]
     if n < 2:
         raise InvalidArgumentError(f"N must be at least 2, got {n}")
     logn = math.log(n)
@@ -116,12 +115,14 @@ def strengths(sparse: SparseFit, n: int) -> StrengthEstimate:
     return StrengthEstimate(alpha_hat=tuple(alphas), labels=tuple(labels))
 
 
-def symm_diff_ratio(true_support, est_support, alpha: float, n: int) -> float:
-    """Size of the symmetric difference between supports, scaled by ``N^alpha``."""
-    if not 0 < alpha <= 1:
-        raise InvalidArgumentError(f"alpha must lie in (0, 1], got {alpha}")
-    a, b = frozenset(true_support), frozenset(est_support)
-    return len(a ^ b) / n**alpha
+def symm_diff_ratio(true_support, est_support, alpha) -> tuple:
+    """Per factor k, the size of the symmetric difference between column k of the two
+    N x r support masks, scaled by ``N^alpha[k]``."""
+    hits, found, true = _overlap(true_support, est_support, axis=0)
+    if len(alpha) != len(hits) or not all(0 < a <= 1 for a in alpha):
+        raise InvalidArgumentError(f"need one alpha in (0, 1] per support column, got {tuple(alpha)}")
+    n = np.shape(true_support)[0]
+    return tuple(d / n**a for d, a in zip((found + true - 2 * hits).tolist(), alpha))  # not np.power
 
 
 @dataclass(frozen=True)
@@ -152,7 +153,7 @@ class Estimate:
 
     @cached_property
     def strength(self) -> StrengthEstimate | None:
-        return None if self.sparse is None else strengths(self.sparse, self.panel.n_series)
+        return None if self.sparse is None else strengths(self.sparse)
 
 
 def estimate(panel: Panel, r: int | None = None, rmax: int = DEFAULT_RMAX,

@@ -4,10 +4,10 @@ The data-generating process: factor 1 is a Gaussian AR(1) with coefficient
 0.5 (initialized at its stationary law and burned in); factor k >= 2 equals
 ``(-0.8)^k`` times factor 1 plus an independent standard normal. Loadings
 are iid N(0,1) on a uniformly random support of exactly ``floor(N^alpha_k)``
-units per factor, zero elsewhere. Errors have unit-variance Student-t(5)
-marginals mixed through the blockwise Cholesky factor of a block-diagonal
-covariance: 4 x 4 identity blocks except ``floor(N^0.3)`` randomly chosen
-blocks with Toeplitz ``0.5^|m-n|`` correlation.
+units per factor (an N x r boolean mask), zero elsewhere. Errors have
+unit-variance Student-t(5) marginals mixed through the blockwise Cholesky
+factor of a block-diagonal covariance: 4 x 4 identity blocks except
+``floor(N^0.3)`` randomly chosen blocks with Toeplitz ``0.5^|m-n|`` correlation.
 
 Every draw is a pure function of ``(seed, shape parameters)``: replication i
 derives its generator streams from ``(seed, i, stream_id)``, so it is the same
@@ -95,13 +95,14 @@ class SimTruth:
     """Ground truth behind one simulated panel, in factored form.
 
     The common component ``Lambda0 @ F0.T`` is not stored: the metrics read the
-    r-column factors and loadings. ``scale`` is the per-series standard deviation
-    removed by standardization (ones for a raw panel).
+    r-column factors and loadings, and ``support0`` is their N x r support mask.
+    ``scale`` is the per-series standard deviation removed by standardization
+    (ones for a raw panel).
     """
 
     F0: np.ndarray
     Lambda0: np.ndarray
-    supports0: tuple
+    support0: np.ndarray
     scale: np.ndarray
     standardized: bool = False
 
@@ -156,7 +157,7 @@ def gen_factors(t: int, r: int, seed, burn_in: int = SimConfig.burn_in) -> np.nd
 
 
 def gen_loadings(n: int, alpha, seed, support_mode: str = SimConfig.support_mode, ranges=None):
-    """N x r sparse loading matrix plus the r true support sets.
+    """N x r sparse loading matrix plus its N x r boolean support mask.
 
     Each factor's support has exactly ``floor(N^alpha_k)`` units, chosen
     uniformly without replacement (independently across factors) or taken
@@ -170,7 +171,7 @@ def gen_loadings(n: int, alpha, seed, support_mode: str = SimConfig.support_mode
         _check_ranges(n, alpha, ranges)
     rng = _rng(seed)
     lam = np.zeros((n, r))
-    supports = []
+    support = np.zeros((n, r), dtype=bool)
     for k, a in enumerate(alpha):
         m = support_size(n, a)
         if support_mode == "contiguous":
@@ -178,8 +179,8 @@ def gen_loadings(n: int, alpha, seed, support_mode: str = SimConfig.support_mode
         else:
             idx = rng.choice(n, size=m, replace=False)
         lam[idx, k] = rng.standard_normal(m)
-        supports.append(frozenset(int(i) for i in idx))
-    return lam, tuple(supports)
+        support[idx, k] = True  # from the indices: a drawn loading may be 0.0
+    return lam, support
 
 
 def toeplitz_block(size: int = 4, rho: float = 0.5) -> np.ndarray:
@@ -237,7 +238,7 @@ def simulate_panel(config: SimConfig, rep: int = 0) -> tuple[Panel, SimTruth]:
     """
     base = (config.seed, rep)
     f0 = gen_factors(config.T, config.r, (*base, _STREAM_FACTORS), config.burn_in)
-    lam0, supports = gen_loadings(
+    lam0, support0 = gen_loadings(
         config.N,
         config.alpha,
         (*base, _STREAM_LOADINGS),
@@ -251,7 +252,7 @@ def simulate_panel(config: SimConfig, rep: int = 0) -> tuple[Panel, SimTruth]:
     if config.standardize:
         values, scale = _standardized(panel)
         panel = panel._derived(values)
-    truth = SimTruth(F0=f0, Lambda0=lam0, supports0=supports, scale=scale,
+    truth = SimTruth(F0=f0, Lambda0=lam0, support0=support0, scale=scale,
                      standardized=config.standardize)
     return panel, truth
 
@@ -282,15 +283,11 @@ def _replicate_inner(config, panel, truth, tasks, rmax, c, rec) -> met.Replicati
         rec.rmse_c = met.rmse_c(lam0, f0, fit.loadings, fit.factors)
         rec.eigvals = tuple(float(v) for v in fit.eigvals)
     if "sparsity" in tasks:
-        supports = est.sparse.supports
+        support = est.sparse.support
         rec.alpha_hat = est.strength.alpha_hat
-        per_factor = [met.fdr_power(s0, s) for s0, s in zip(truth.supports0, supports)]
-        rec.fdr = tuple(fdp for fdp, _ in per_factor)
-        rec.power = tuple(pw for _, pw in per_factor)
-        rec.sym_diff = tuple(symm_diff_ratio(s0, s, a, config.N)
-                             for s0, s, a in zip(truth.supports0, supports, config.alpha))
-        rec.fdr_overall, rec.power_overall = met.pooled_fdr_power(
-            truth.supports0, supports, config.N)
+        rec.fdr, rec.power = met.fdr_power(truth.support0, support)
+        rec.sym_diff = symm_diff_ratio(truth.support0, support, config.alpha)
+        rec.fdr_overall, rec.power_overall = met.pooled_fdr_power(truth.support0, support)
     if "rotation" in tasks:
         _, summary = met.rotation_q(fit.factors, truth.F0)
         rec.q_lower_abs = summary["lower_abs"]

@@ -335,6 +335,17 @@ def test_explicit_values_are_never_replaced_by_defaults(tmp_path, capsys, argv, 
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]  # none reaches stderr
 
 
+def test_a_design_the_svt_rule_cannot_run_exits_one_and_writes_nothing(tmp_path, capsys):
+    argv = ["simulate", "--N", "8", "--T", "20", "--r", "1", "--alpha", "0.9", "--reps", "3",
+            "--rmax", "2", "--seed", "1"]
+    assert run_cli(argv + ["--out", str(tmp_path / "wz")]) == 1
+    assert "error: N must be at least 16 for the double-log threshold, got 8" in capsys.readouterr().err
+    assert not (tmp_path / "wz" / "report.json").exists()
+    # the rule is the SVT's alone: the other tasks run on the same design
+    assert run_cli(argv + ["--tasks", "bn,ed,ah,fit,sparsity", "--out", str(tmp_path / "rest")]) == 0
+    assert json.loads((tmp_path / "rest" / "report.json").read_text())["aggregates"]["failed"] == 0
+
+
 @pytest.mark.parametrize("command", [["select-r"], ["rolling", "--window", "50"]])
 def test_manifest_records_the_blas(tmp_path, monkeypatch, command):
     data = write_panel_csv(tmp_path / "panel.csv")

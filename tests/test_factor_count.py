@@ -12,6 +12,7 @@ from sparsefactors import (
     select_r_icp1,
     select_r_svt,
 )
+import sparsefactors.factor_count as factor_count
 from sparsefactors.factor_count import diagnostics_json
 
 
@@ -47,6 +48,12 @@ class TestSvt:
     def test_small_n_rejected(self):
         with pytest.raises(ValueError, match="16"):
             select_r_svt(panel_of(np.random.default_rng(0).normal(size=(15, 20))), rmax=3)
+
+    def test_small_n_rejected_before_decomposing(self, monkeypatch):
+        monkeypatch.setattr(factor_count, "decompose", None)  # a call would raise TypeError
+        panel = panel_of(np.random.default_rng(0).normal(size=(15, 20)))
+        with pytest.raises(ValueError, match="N must be at least 16 for the double-log threshold, got 15"):
+            select_r(panel, ["bn", "wz"], rmax=3)
 
     def test_scale_invariance(self):
         panel = low_rank_panel(60, 60, rank=2, seed=3, noise=1.0, scale=1.5)

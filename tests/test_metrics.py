@@ -11,10 +11,13 @@ from sparsefactors import (
     rmse_c,
     rotation_q,
     simulate_panel,
+    symm_diff_ratio,
     trace_stat_f,
     trace_stat_lambda,
 )
 from sparsefactors.metrics import ReplicationRecord, aggregate
+import support_oracle as oracle
+from support_oracle import mask
 
 
 class TestTraceStats:
@@ -119,29 +122,68 @@ class TestRmseC:
 
 class TestFdrPower:
     def test_perfect_recovery(self):
-        assert fdr_power({1, 2, 3}, {1, 2, 3}) == (0.0, 1.0)
+        assert fdr_power(mask(5, {1, 2, 3}), mask(5, {1, 2, 3})) == ((0.0,), (1.0,))
 
     def test_empty_estimate(self):
-        assert fdr_power({1, 2}, set()) == (0.0, 0.0)
+        assert fdr_power(mask(5, {1, 2}), mask(5, set())) == ((0.0,), (0.0,))
 
     def test_empty_truth(self):
-        fdp, power = fdr_power(set(), {4, 5})
+        (fdp,), (power,) = fdr_power(mask(6, set()), mask(6, {4, 5}))
         assert fdp == 1.0 and power == 0.0
 
     def test_hand_case(self):
-        fdp, power = fdr_power({1, 2, 3, 4}, {3, 4, 5, 6})
+        (fdp,), (power,) = fdr_power(mask(7, {1, 2, 3, 4}), mask(7, {3, 4, 5, 6}))
         assert fdp == pytest.approx(0.5)
         assert power == pytest.approx(0.5)
 
+    def test_per_column(self):
+        fdp, power = fdr_power(mask(7, {1, 2, 3, 4}, {1, 2}), mask(7, {3, 4, 5, 6}, {2}))
+        assert fdp == (0.5, 0.0) and power == (0.5, 0.5)
+
     def test_pooled_reduces_to_single_factor(self):
-        s, sh = {1, 2, 3}, {2, 3, 9}
-        assert pooled_fdr_power([s], [sh], 10) == fdr_power(s, sh)
+        s, sh = mask(10, {1, 2, 3}), mask(10, {2, 3, 9})
+        assert pooled_fdr_power(s, sh) == tuple(v for (v,) in fdr_power(s, sh))
 
     def test_pooled_counts_cells(self):
-        fdp, power = pooled_fdr_power([{1}, {1, 2}], [{1}, {3}], 5)
+        fdp, power = pooled_fdr_power(mask(5, {1}, {1, 2}), mask(5, {1}, {3}))
         # truth cells: (0,1),(1,1),(1,2); estimate cells: (0,1),(1,3)
         assert fdp == pytest.approx(0.5)
         assert power == pytest.approx(1.0 / 3.0)
+
+    @pytest.mark.parametrize("est", [np.zeros((5, 1), bool), np.zeros((4, 2), bool), np.zeros(5, bool)])
+    def test_masks_of_another_shape_rejected(self, est):
+        for metric in (fdr_power, pooled_fdr_power):
+            with pytest.raises(InvalidArgumentError, match="masks of one shape"):
+                metric(np.zeros((5, 2), bool), est)
+
+
+def test_support_metrics_match_the_set_oracle():
+    """The mask counts equal the set formulas on random masks, empty and full columns included."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    hnp = pytest.importorskip("hypothesis.extra.numpy")
+
+    def masks(shape):  # random cells, or an all-empty or all-full mask
+        return hnp.arrays(bool, shape) | st.sampled_from([np.zeros(shape, bool), np.ones(shape, bool)])
+
+    pairs = st.tuples(st.integers(1, 12), st.integers(1, 4)).flatmap(lambda shape: st.tuples(
+        masks(shape), masks(shape), st.lists(st.floats(0.05, 1.0), min_size=shape[1], max_size=shape[1])))
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(pairs)
+    def check(pair):
+        truth, est, alpha = pair
+        n = truth.shape[0]
+        s, sh = oracle.column_sets(truth), oracle.column_sets(est)
+        by_column = [oracle.fdr_power(a, b) for a, b in zip(s, sh)]
+        (fdp, power), pooled = fdr_power(truth, est), pooled_fdr_power(truth, est)
+        ratios = symm_diff_ratio(truth, est, alpha)
+        assert (fdp, power) == (tuple(f for f, _ in by_column), tuple(p for _, p in by_column))
+        assert pooled == oracle.pooled_fdr_power(s, sh)
+        assert ratios == tuple(oracle.symm_diff_ratio(a, b, al, n) for a, b, al in zip(s, sh, alpha))
+        assert all(type(v) is float for v in fdp + power + pooled + ratios)  # as the records keep them
+
+    check()
 
 
 class TestRotationQ:

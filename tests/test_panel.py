@@ -375,9 +375,17 @@ class TestPanelInvariants:
     def test_callers_array_stays_writeable(self, order):
         values = np.zeros((2, 2), order=order)
         panel = Panel(values, ["a", "b"], ["t0", "t1"])
-        assert np.shares_memory(panel.values, values) and not panel.values.flags.writeable
+        assert values.flags.writeable and not panel.values.flags.writeable
+        assert not np.shares_memory(panel.values, values)  # the panel owns a copy
         values[0, 0] = 1.0
-        assert panel.values[0, 0] == 1.0  # a read-only view of the caller's array
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_a_later_write_to_the_callers_array_leaves_the_panel_unchanged(self, order):
+        values = np.arange(6.0).reshape(2, 3).copy(order=order)
+        panel = Panel(values, ["a", "b"], ["t0", "t1", "t2"])
+        values[0, 0] = np.nan
+        assert np.array_equal(panel.values, np.arange(6.0).reshape(2, 3))
+        assert np.all(np.isfinite(standardize(panel).values))  # the checked values are the ones read
 
     @pytest.mark.parametrize("view", [np.s_[::2, ::3], np.s_[::-1, :], np.s_[:, 1:5], "F"])
     def test_values_are_c_or_f_contiguous(self, view):
@@ -386,8 +394,8 @@ class TestPanelInvariants:
         n, t = values.shape
         panel = Panel(values, [f"s{i}" for i in range(n)], [f"t{j}" for j in range(t)])
         assert np.array_equal(panel.values, values)
-        if view == "F":  # read in place, not copied
-            assert panel.values.flags.f_contiguous and np.shares_memory(panel.values, values)
+        if view == "F":  # copied in its own order
+            assert panel.values.flags.f_contiguous
         else:
             assert panel.values.flags.c_contiguous
 

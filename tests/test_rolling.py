@@ -222,7 +222,7 @@ class TestSubperiodHeatmap:
         panel, _ = sim_panel(48, 70, seed=10)
         export = subperiod_heatmap(panel, rmax=5, r=2)
         sub = standardize(panel)
-        est = strengths(screen(pc_fit(sub, 2), threshold_value(48, 70)), 48)
+        est = strengths(screen(pc_fit(sub, 2), threshold_value(48, 70)))
         for k, label in enumerate(export.column_labels):
             assert f"alpha={est.alpha_hat[k]:.3f}" in label
         assert "rank 1" in " ".join(export.column_labels)

@@ -17,6 +17,7 @@ from sparsefactors import (
     threshold_value,
 )
 from sparsefactors.screening import SparseFit
+from support_oracle import mask
 
 
 def fit_with_loadings(loadings):
@@ -69,32 +70,31 @@ class TestScreen:
     def test_zero_loadings_give_empty_supports(self):
         sp = screen(fit_with_loadings(np.zeros((4, 2))), 0.3)
         assert sp.counts == (0, 0)
-        assert all(len(s) == 0 for s in sp.supports)
+        assert not sp.support.any() and sp.support.shape == (4, 2)
 
     def test_hand_column(self):
         sp = screen(fit_with_loadings(np.array([[0.5], [-0.2], [0.31]])), 0.307)
         assert sp.counts == (2,)
-        assert sp.supports[0] == frozenset({0, 2})
+        assert sp.support[:, 0].tolist() == [True, False, True]
         assert np.array_equal(sp.lambda_hat[:, 0], [0.5, 0.0, 0.31])
 
     def test_boundary_entry_is_zeroed(self):
         sp = screen(fit_with_loadings(np.array([[0.307], [0.3071]])), 0.307)
-        assert sp.supports[0] == frozenset({1})
+        assert sp.support[:, 0].tolist() == [False, True]
 
     def test_idempotent(self):
         rng = np.random.default_rng(4)
         sp = screen(fit_with_loadings(rng.normal(size=(30, 3))), 0.5)
         again = screen(fit_with_loadings(sp.lambda_hat), sp.threshold)
         assert np.array_equal(again.lambda_hat, sp.lambda_hat)
-        assert again.supports == sp.supports
+        assert np.array_equal(again.support, sp.support)
 
     def test_threshold_monotonicity(self):
         rng = np.random.default_rng(5)
         fit = fit_with_loadings(rng.normal(size=(50, 3)))
         small = screen(fit, 0.2)
         large = screen(fit, 0.8)
-        for k in range(3):
-            assert large.supports[k] <= small.supports[k]
+        assert not np.any(large.support & ~small.support)
 
     def test_positive_threshold_required(self):
         with pytest.raises(ValueError):
@@ -103,30 +103,30 @@ class TestScreen:
 
 class TestStrengths:
     def sparse(self, counts, n):
-        r = len(counts)
-        return SparseFit(
-            lambda_hat=np.zeros((n, r)),
-            supports=tuple(frozenset(range(c)) for c in counts),
-            counts=tuple(counts),
-            threshold=0.3,
-        )
+        """Screened loadings of N = n rows whose column k has its first ``counts[k]`` rows nonzero."""
+        lambda_hat = np.zeros((n, len(counts)))
+        for k, c in enumerate(counts):
+            lambda_hat[:c, k] = 0.5
+        sp = SparseFit(lambda_hat=lambda_hat, threshold=0.3)
+        assert sp.counts == tuple(counts)
+        return sp
 
     def test_full_support_is_strong(self):
-        est = strengths(self.sparse([100], 100), 100)
+        est = strengths(self.sparse([100], 100))
         assert est.alpha_hat == (1.0,)
         assert est.labels == ("strong",)
 
     def test_singleton_support_maps_to_zero(self):
-        est = strengths(self.sparse([1], 100), 100)
+        est = strengths(self.sparse([1], 100))
         assert est.alpha_hat == (0.0,)
 
     def test_empty_support_is_reduced(self):
-        est = strengths(self.sparse([0], 100), 100)
+        est = strengths(self.sparse([0], 100))
         assert est.alpha_hat == (0.0,)
         assert est.labels == ("reduced",)
 
     def test_classification_bands(self):
-        est = strengths(self.sparse([83, 72, 40], 100), 100)
+        est = strengths(self.sparse([83, 72, 40], 100))
         a1, a2, a3 = est.alpha_hat
         assert a1 >= 0.95 and est.labels[0] == "strong"
         assert 0.90 <= a2 < 0.95 and est.labels[1] == "indeterminate"
@@ -137,7 +137,7 @@ class TestStrengths:
         fit = fit_with_loadings(rng.normal(size=(80, 2)))
         alphas = []
         for thr in (0.1, 0.4, 0.9, 1.5):
-            est = strengths(screen(fit, thr), 80)
+            est = strengths(screen(fit, thr))
             alphas.append(est.alpha_hat)
         for prev, cur in zip(alphas, alphas[1:]):
             assert all(c <= p + 1e-12 for p, c in zip(prev, cur))
@@ -145,14 +145,23 @@ class TestStrengths:
 
 class TestSymmDiffRatio:
     def test_identical_sets(self):
-        assert symm_diff_ratio({1, 2, 3}, {1, 2, 3}, 0.8, 50) == 0.0
+        s = mask(50, {1, 2, 3})
+        assert symm_diff_ratio(s, s, (0.8,)) == (0.0,)
 
     def test_hand_example(self):
-        assert symm_diff_ratio({1, 2, 3}, {2, 3, 4}, 1.0, 10) == pytest.approx(0.2)
+        ratio, = symm_diff_ratio(mask(10, {1, 2, 3}), mask(10, {2, 3, 4}), (1.0,))
+        assert ratio == pytest.approx(0.2)
+
+    def test_one_ratio_per_column(self):
+        s0, s = mask(10, {1, 2, 3}, {1}), mask(10, {2, 3, 4}, {1, 5, 6})
+        assert symm_diff_ratio(s0, s, (1.0, 0.5)) == (2 / 10, 2 / 10**0.5)
 
     def test_alpha_validation(self):
+        s = mask(10, {1})
         with pytest.raises(ValueError):
-            symm_diff_ratio({1}, {1}, 0.0, 10)
+            symm_diff_ratio(s, s, (0.0,))
+        with pytest.raises(ValueError, match=r"one alpha in \(0, 1\] per support column"):
+            symm_diff_ratio(mask(10, {1}, {2}), mask(10, {1}, {2}), (0.9,))
 
 
 class TestOnRealFit:
@@ -164,9 +173,9 @@ class TestOnRealFit:
         x = lam @ rng.normal(size=(1, 200)) + 0.1 * rng.normal(size=(60, 200))
         panel = Panel(x, [f"s{i}" for i in range(60)], [f"t{j}" for j in range(200)])
         sp = screen(pc_fit(panel, 1), threshold_value(60, 200))
-        est = strengths(sp, 60)
+        est = strengths(sp)
         # strong, well-separated loadings recovered nearly exactly
-        assert symm_diff_ratio(set(idx.tolist()), sp.supports[0], 1.0, 60) < 0.1
+        assert symm_diff_ratio(lam != 0, sp.support, (1.0,))[0] < 0.1
         assert abs(est.alpha_hat[0] - math.log(30) / math.log(60)) < 0.05
 
 
@@ -201,11 +210,11 @@ class TestEstimate:
         assert est.selection is None and est.r == 2
         fit = pc_fit(panel, 2)
         sp = screen(fit, threshold_value(60, 80, 1.5))
-        alpha = strengths(sp, 60)
+        alpha = strengths(sp)
         assert np.array_equal(est.fit.factors, fit.factors)
         assert np.array_equal(est.fit.loadings, fit.loadings)
         assert np.array_equal(est.sparse.lambda_hat, sp.lambda_hat)
-        assert est.sparse.supports == sp.supports and est.threshold == sp.threshold
+        assert np.array_equal(est.sparse.support, sp.support) and est.threshold == sp.threshold
         assert np.array_equal(est.strength.alpha_hat, alpha.alpha_hat)
         assert est.strength.labels == alpha.labels
 

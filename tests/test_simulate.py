@@ -21,6 +21,7 @@ from sparsefactors import (
     standardize,
 )
 from sparsefactors.pca import PcFit
+import sparsefactors.simulate as simulate
 from sparsefactors.simulate import support_size
 
 
@@ -54,16 +55,15 @@ class TestGenFactors:
 class TestGenLoadings:
     def test_exact_support_sizes(self):
         lam, sup = gen_loadings(200, (0.9, 0.7), (7, 1))
-        assert [len(s) for s in sup] == [117, 40]
+        assert sup.shape == (200, 2) and sup.dtype == bool
+        assert sup.sum(axis=0).tolist() == [117, 40]
         assert support_size(200, 0.75) == 53
         assert support_size(200, 0.6) == 24
-        for k, s in enumerate(sup):
-            nz = set(np.nonzero(lam[:, k])[0].tolist())
-            assert nz == set(s)
+        assert np.array_equal(lam != 0, sup)
 
     def test_full_strength_loads_everyone(self):
         lam, sup = gen_loadings(30, (1.0,), (8, 1))
-        assert len(sup[0]) == 30
+        assert sup.all()
         assert np.all(lam[:, 0] != 0)
 
     def test_contiguous_ranges_used_verbatim(self):
@@ -71,8 +71,8 @@ class TestGenLoadings:
             200, (0.9, 0.7), (9, 1), support_mode="contiguous",
             ranges=((0, 117), (96, 136)),
         )
-        assert sup[0] == frozenset(range(0, 117))
-        assert sup[1] == frozenset(range(96, 136))
+        assert np.array_equal(np.nonzero(sup[:, 0])[0], np.arange(0, 117))
+        assert np.array_equal(np.nonzero(sup[:, 1])[0], np.arange(96, 136))
 
     def test_contiguous_size_mismatch_rejected(self):
         with pytest.raises(ValueError, match="expected"):
@@ -82,7 +82,7 @@ class TestGenLoadings:
         vals = []
         for rep in range(300):
             lam, sup = gen_loadings(100, (0.8,), (11, rep))
-            vals.extend(lam[list(sup[0]), 0].tolist())
+            vals.extend(lam[sup[:, 0], 0].tolist())
         vals = np.array(vals)
         assert abs(vals.mean()) < 0.03
         assert abs(vals.var() - 1.0) < 0.05
@@ -130,7 +130,7 @@ class TestSimulatePanel:
         assert np.array_equal(p1.values, p2.values)
         assert np.array_equal(t1.F0, t2.F0)
         assert np.array_equal(t1.Lambda0, t2.Lambda0)
-        assert t1.supports0 == t2.supports0
+        assert np.array_equal(t1.support0, t2.support0)
 
     def test_different_seeds_differ(self):
         cfg_a = SimConfig(N=40, T=30, r=2, alpha=(0.9, 0.7), seed=1)
@@ -145,10 +145,9 @@ class TestSimulatePanel:
         errors, _ = gen_errors(24, 40, (5, 0, 2))  # replication 0's error stream
         assert np.array_equal(panel.values, errors + truth.Lambda0 @ truth.F0.T)
         assert np.array_equal(truth.scale, np.ones(24))
-        for k, s in enumerate(truth.supports0):
-            assert len(s) == support_size(24, cfg.alpha[k])
-            off = [i for i in range(24) if i not in s]
-            assert np.all(truth.Lambda0[off, k] == 0.0)
+        for k, s in enumerate(truth.support0.T):
+            assert s.sum() == support_size(24, cfg.alpha[k])
+            assert np.all(truth.Lambda0[~s, k] == 0.0)
 
     def test_standardized_mode_invariants(self):
         cfg = SimConfig(N=32, T=60, r=2, alpha=(0.9, 0.7), seed=6, standardize=True)
@@ -365,6 +364,12 @@ class TestRunReplications:
         thin = SimConfig(N=40, T=1, r=2, alpha=(0.9, 0.7), seed=8)
         with pytest.raises(ValueError, match=re.escape("r must be at most min(N, T) = 1")):
             run_replications(thin, 1, tasks={"fit"})
+
+    def test_svt_sample_size_checked_up_front(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_replicate", None)  # a replication would raise TypeError
+        small = SimConfig(N=8, T=20, r=1, alpha=(0.9,), seed=1)
+        with pytest.raises(ValueError, match="N must be at least 16 for the double-log threshold, got 8"):
+            run_replications(small, 3, tasks={"bn", "wz"}, rmax=2)
 
 
 class TestSimConfigValidation:
