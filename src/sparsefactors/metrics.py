@@ -6,10 +6,27 @@ with an entrywise root mean squared error, and support recovery with false
 discovery proportions and recall, counted on N x r boolean support masks
 (column k holds factor k's units). Per-factor quantities pair estimated
 columns (eigenvalue order) with true columns (strength order) by rank.
+
+``aggregate`` folds a batch's records into the ``aggregates`` block of ``report.json``.
+``replications`` counts every replication and ``failed`` those that raised; a failed
+replication enters no other key. Each other key reduces one record field over the
+replications that have it (the field is None when its task was not run):
+
+- ``r_hat``: per method, rmse, bias and mean of ``r_hat`` against the true r;
+- ``mean_<field>`` for ``tr_f``, ``tr_lambda``, ``rmse_c``, ``fdr_overall``, ``power_overall``: the mean;
+- ``fdr``, ``power``: per factor, the mean;
+- ``alpha_hat``: per factor k, rmse, bias and mean against alpha_k;
+- ``median_<field>`` for ``sym_diff``, ``eigvals`` (per factor) and ``q_lower_abs`` (per pair
+  l > k, keyed "l,k"): the median;
+- ``q_full_rank_share``: the share of replications with ``q_min_sv > 0.05``.
+
+When no replication has the field, ``r_hat`` reads ``{}``, the five ``mean_*`` keys read
+None and every other key is absent.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -158,62 +175,58 @@ class MetricsReport:
         return {"config": self.config, "aggregates": self.aggregates, "per_rep": per_rep}
 
 
-def _rmse_bias(values: np.ndarray, target: float) -> tuple[float, float]:
-    err = values - target
-    return float(np.sqrt(np.mean(err**2))), float(np.mean(err))
+def _cell(how: str, values, target):
+    """One aggregate cell: the "mean", the "median", the "share" of values above 0.05, or the
+    "error" (rmse, bias and mean) of estimates against their true value ``target``."""
+    if how == "error":
+        values = np.asarray(values, dtype=float)
+        err = values - target
+        return {"rmse": float(np.sqrt(np.mean(err**2))), "bias": float(np.mean(err)),
+                "mean": float(values.mean())}
+    if how == "share":
+        return float(np.mean(np.asarray(values) > 0.05))
+    return float(np.median(values) if how == "median" else np.mean(values))
+
+
+_OMIT = object()  # the key is left out when no successful replication has its field
+
+# One row per ReplicationRecord field: (field, key, reducer, its value when no replication has it)
+_FOLD = (
+    ("r_hat", "r_hat", "error", {}),
+    ("tr_f", "mean_tr_f", "mean", None),
+    ("tr_lambda", "mean_tr_lambda", "mean", None),
+    ("rmse_c", "mean_rmse_c", "mean", None),
+    ("fdr_overall", "mean_fdr_overall", "mean", None),
+    ("power_overall", "mean_power_overall", "mean", None),
+    ("fdr", "fdr", "mean", _OMIT),
+    ("power", "power", "mean", _OMIT),
+    ("alpha_hat", "alpha_hat", "error", _OMIT),
+    ("sym_diff", "median_sym_diff", "median", _OMIT),
+    ("eigvals", "median_eigvals", "median", _OMIT),
+    ("q_lower_abs", "median_q_lower_abs", "median", _OMIT),
+    ("q_min_sv", "q_full_rank_share", "share", _OMIT),
+)
 
 
 def aggregate(records, true_r: int, alpha) -> dict:
-    """Fold replication records into the aggregate block of a MetricsReport.
+    """Fold replication records into the aggregate block of a MetricsReport, deterministically.
 
-    Deterministic given the records; incomplete cells (failed replications or
-    estimators not requested) are reported as None rather than poisoning the
-    rest of the table.
-    """
+    Each row of ``_FOLD`` reduces its field cell by cell, the cells read off the field's type: a
+    float, a per-factor tuple (target alpha_k), a per-method dict (target ``true_r``) or a
+    per-pair dict, keys written "l,k"."""
     ok = [rec for rec in records if rec.error is None]
-    agg: dict = {
-        "replications": len(records),
-        "failed": len(records) - len(ok),
-    }
-    methods = sorted({m for rec in ok for m in rec.r_hat})
-    agg["r_hat"] = {}
-    for m in methods:
-        vals = np.array([rec.r_hat[m] for rec in ok if m in rec.r_hat], dtype=float)
-        rmse, bias = _rmse_bias(vals, true_r)
-        agg["r_hat"][m] = {"rmse": rmse, "bias": bias, "mean": float(vals.mean())}
-    for name in ("tr_f", "tr_lambda", "rmse_c", "fdr_overall", "power_overall"):
-        vals = [getattr(rec, name) for rec in ok if getattr(rec, name) is not None]
-        agg[f"mean_{name}"] = float(np.mean(vals)) if vals else None
-    r = len(alpha)
-    have_sup = [rec for rec in ok if rec.fdr is not None]
-    if have_sup:
-        agg["fdr"] = [float(np.mean([rec.fdr[k] for rec in have_sup])) for k in range(r)]
-        agg["power"] = [float(np.mean([rec.power[k] for rec in have_sup])) for k in range(r)]
-    have_alpha = [rec for rec in ok if rec.alpha_hat is not None]
-    if have_alpha:
-        agg["alpha_hat"] = []
-        for k in range(r):
-            vals = np.array([rec.alpha_hat[k] for rec in have_alpha])
-            rmse, bias = _rmse_bias(vals, float(alpha[k]))
-            agg["alpha_hat"].append({"rmse": rmse, "bias": bias, "mean": float(vals.mean())})
-    have_sd = [rec for rec in ok if rec.sym_diff is not None]
-    if have_sd:
-        agg["median_sym_diff"] = [
-            float(np.median([rec.sym_diff[k] for rec in have_sd])) for k in range(r)
-        ]
-    have_ev = [rec for rec in ok if rec.eigvals is not None]
-    if have_ev:
-        agg["median_eigvals"] = [
-            float(np.median([rec.eigvals[k] for rec in have_ev])) for k in range(r)
-        ]
-    have_q = [rec for rec in ok if rec.q_lower_abs is not None]
-    if have_q:
-        keys = sorted(have_q[0].q_lower_abs)
-        agg["median_q_lower_abs"] = {
-            f"{l},{k}": float(np.median([rec.q_lower_abs[(l, k)] for rec in have_q]))
-            for (l, k) in keys
-        }
-        agg["q_full_rank_share"] = float(
-            np.mean([rec.q_min_sv > 0.05 for rec in have_q if rec.q_min_sv is not None])
-        )
+    agg: dict = {"replications": len(records), "failed": len(records) - len(ok)}
+    for name, key, how, empty in _FOLD:
+        values = [v for rec in ok if (v := getattr(rec, name)) is not None]
+        if not values:
+            if empty is not _OMIT:
+                agg[key] = copy.copy(empty)
+        elif isinstance(values[0], dict):
+            agg[key] = {k if isinstance(k, str) else ",".join(map(str, k)):
+                        _cell(how, [v[k] for v in values if k in v], true_r)
+                        for k in sorted({k for v in values for k in v})}
+        elif isinstance(values[0], tuple):
+            agg[key] = [_cell(how, cell, float(a)) for cell, a in zip(zip(*values), alpha)]
+        else:
+            agg[key] = _cell(how, values, None)
     return agg

@@ -1,4 +1,4 @@
-"""Principal-component estimation of factors, loadings, and common components.
+"""Principal-component estimation of factors and loadings.
 
 ``decompose`` eigendecomposes the smaller of the two Gram matrices: the
 N x N ``XX'/(NT)`` when N < T, the T x T ``X'X/(NT)`` (``gram``) otherwise.
@@ -6,7 +6,7 @@ Both share their nonzero eigenvalues, so the spectrum has length min(N, T)
 either way. Estimated factors follow the T x T convention: ``sqrt(T)`` times
 the leading eigenvectors of ``X'X/(NT)``; from an N x N decomposition they
 are ``sqrt(T) X'u_k / ||X'u_k||``, the same vectors. Loadings are
-``X F / T`` and the fitted common component is ``Lambda F'``.
+``X F / T``; the fitted common component ``Lambda F'`` is never formed.
 
 The spectrum sums to ``mean(X^2)`` and, as ``F'F/T = I``, the mean squared residual
 ``V(k)`` of the k-factor fit is its tail sum ``mu_{k+1} + ... + mu_min(N,T)``
@@ -33,7 +33,6 @@ the full ``eigh`` (``eig_sym_desc``).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -90,19 +89,15 @@ class PcFit:
         ``X factors / T``.
     eigvals : ndarray, shape (r,)
         Leading eigenvalues of ``X'X/(NT)``, nonincreasing.
-    common : ndarray, shape (N, T)
-        ``loadings @ factors.T``, computed on first read and cached; no statistic of
-        the package reads it (they work from factors, loadings and spectrum).
+
+    The N x T common component is ``loadings @ factors.T``; no statistic of the
+    package forms it (they work from factors, loadings and spectrum).
     """
 
     r: int
     factors: np.ndarray
     loadings: np.ndarray
     eigvals: np.ndarray
-
-    @cached_property
-    def common(self) -> np.ndarray:
-        return self.loadings @ self.factors.T
 
 
 def gram(panel: Panel) -> np.ndarray:

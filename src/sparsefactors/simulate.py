@@ -189,36 +189,26 @@ def toeplitz_block(size: int = 4, rho: float = 0.5) -> np.ndarray:
 
 
 def gen_errors(n: int, t: int, seed):
-    """N x T idiosyncratic errors and the block list of their covariance.
+    """N x T idiosyncratic errors and the start rows of their correlated 4 x 4 blocks.
 
-    Innovations are Student-t(5) scaled by sqrt(3/5) to unit variance and
-    mixed blockwise through the Cholesky factor of Sigma_e. When N is not a
-    multiple of 4 the trailing remainder block is an identity and is excluded
-    from the correlated-block lottery. ``seed`` is a tuple of non-negative
-    integers, the entropy of the random stream.
+    Innovations are Student-t(5) scaled by sqrt(3/5) to unit variance. The rows of the
+    ``floor(N^0.3)`` correlated blocks are mixed through the Cholesky factor of the Toeplitz
+    block; all other rows, the trailing N mod 4 among them, are left unmixed (identity
+    blocks). ``seed`` is a tuple of non-negative integers, the entropy of the random stream.
     """
     if n < 4:
         raise InvalidArgumentError(f"N must be at least 4, got {n}")
     rng = _rng(seed)
     n_full = n // 4
     n_corr = int(math.floor(n**0.3))
-    chosen = set(rng.choice(n_full, size=min(n_corr, n_full), replace=False).tolist())
-    toe, eye = toeplitz_block(), np.eye(4)
-    chol = np.linalg.cholesky(toe)
-    toe.flags.writeable = eye.flags.writeable = False  # one array each, shared by its blocks
+    chosen = rng.choice(n_full, size=min(n_corr, n_full), replace=False)
+    starts = tuple(4 * b for b in sorted(chosen.tolist()))
+    chol = np.linalg.cholesky(toeplitz_block())
     e = rng.standard_t(5, size=(n, t))  # scaled and mixed in place: no second N x T array
     e *= math.sqrt(3.0 / 5.0)
-    blocks = []
-    for b in range(n_full):
-        sl = slice(4 * b, 4 * b + 4)
-        if b in chosen:
-            e[sl] = chol @ e[sl]
-            blocks.append((4 * b, toe))
-        else:
-            blocks.append((4 * b, eye))
-    if n % 4:
-        blocks.append((4 * n_full, np.eye(n % 4)))
-    return e, tuple(blocks)
+    for s in starts:
+        e[s:s + 4] = chol @ e[s:s + 4]
+    return e, starts
 
 
 @lru_cache(maxsize=8)

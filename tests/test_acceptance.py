@@ -24,6 +24,7 @@ from sparsefactors import (
 )
 from sparsefactors.cli import run_cli
 from sparsefactors.pca import eig_sym_desc
+from sparsefactors.simulate import toeplitz_block
 
 from jacobi_oracle import jacobi_eigh
 
@@ -145,7 +146,7 @@ class TestCriterion5AlgebraicIdentities:
             assert np.max(np.abs(fit.factors.T @ fit.factors / t - np.eye(r))) < 1e-8
             ll = fit.loadings.T @ fit.loadings / n
             assert np.max(np.abs(ll - np.diag(fit.eigvals))) < 1e-8
-            assert np.max(np.abs((x - fit.common) @ fit.factors)) < 1e-8
+            assert np.max(np.abs((x - fit.loadings @ fit.factors.T) @ fit.factors)) < 1e-8
         seconds = time.monotonic() - t0
         line = report("criterion 5 (algebraic identity suite)", True,
                       f"100 random panels, all invariants at 1e-8, {seconds:.1f}s")
@@ -227,10 +228,10 @@ class TestCriterion10GeneratorMoments:
         assert ok, line
 
     def test_error_covariance_matches_blocks(self):
-        e, blocks = gen_errors(8, 100_000, (SEED + 4,))
-        sigma = np.zeros((8, 8))
-        for start, b in blocks:
-            sigma[start : start + b.shape[0], start : start + b.shape[0]] = b
+        e, starts = gen_errors(8, 100_000, (SEED + 4,))
+        sigma = np.eye(8)
+        for start in starts:
+            sigma[start : start + 4, start : start + 4] = toeplitz_block()
         sample = e @ e.T / e.shape[1]
         gap = float(np.max(np.abs(sample - sigma)))
         ok = gap <= 0.02

@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,9 @@ from sparsefactors import (
     trace_stat_f,
     trace_stat_lambda,
 )
+from sparsefactors import metrics
 from sparsefactors.metrics import ReplicationRecord, aggregate
+import aggregate_oracle
 import support_oracle as oracle
 from support_oracle import mask
 
@@ -223,3 +228,61 @@ class TestAggregate:
         agg = aggregate(recs, true_r=3, alpha=(0.9, 0.7, 0.6))
         assert agg["failed"] == 1
         assert agg["r_hat"]["wz"]["mean"] == 3.0
+
+    def test_every_record_field_is_folded_once(self):
+        """A statistic added to ReplicationRecord cannot be silently missing from the report."""
+        fields = [f.name for f in dataclasses.fields(ReplicationRecord) if f.name not in ("rep", "error")]
+        assert sorted(name for name, *_ in metrics._FOLD) == sorted(fields)
+        assert len({key for _, key, *_ in metrics._FOLD}) == len(metrics._FOLD)
+
+
+def test_aggregate_matches_the_per_key_oracle():
+    """The declared fold gives the per-key fold's aggregates bit for bit: failed replications,
+    fields that are None, methods missing from some r_hat dicts, rotation-only and
+    selector-only records, and batches where every replication failed."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    num = st.floats(-3.0, 3.0, allow_nan=False)
+
+    @st.composite
+    def batches(draw):
+        r = draw(st.integers(1, 3))
+        alpha = tuple(draw(st.lists(st.floats(0.5, 1.0), min_size=r, max_size=r)))
+        per_factor = st.tuples(*[num] * r)
+
+        def maybe(values):
+            return draw(st.none() | values)
+
+        methods = st.dictionaries(st.sampled_from(["ah", "bn", "ed", "wz"]), st.integers(0, 8))
+        records = []
+        for rep in range(draw(st.integers(0, 8))):
+            rec = ReplicationRecord(
+                rep=rep, r_hat=draw(methods),
+                tr_f=maybe(num), tr_lambda=maybe(num), rmse_c=maybe(num), eigvals=maybe(per_factor),
+                fdr_overall=maybe(num), power_overall=maybe(num), alpha_hat=maybe(per_factor),
+                sym_diff=maybe(per_factor), error=maybe(st.just("RuntimeError: boom")))
+            if draw(st.booleans()):  # fdr_power gives both, and the per-key fold reads them together
+                rec.fdr, rec.power = draw(per_factor), draw(per_factor)
+            if draw(st.booleans()):  # as rotation_q's summary gives them
+                rec.q_lower_abs = {(l + 1, k + 1): draw(num) for l in range(r) for k in range(l)}
+                rec.q_min_sv = draw(st.floats(0.0, 0.1))
+            records.append(rec)
+        return records, draw(st.integers(1, 4)), alpha
+
+    alpha = (0.9, 0.7)
+    failed = [ReplicationRecord(rep=i, r_hat={"wz": 2}, tr_f=0.9, error="ValueError: x") for i in range(3)]
+    rotation = [ReplicationRecord(rep=i, q_lower_abs={(2, 1): 0.1 * i}, q_min_sv=0.04 + 0.01 * i)
+                for i in range(3)]
+    selectors = [ReplicationRecord(rep=i, r_hat={"bn": i, "wz": 2} if i else {"wz": 3}) for i in range(3)]
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(batches())
+    @hypothesis.example((failed, 2, alpha))
+    @hypothesis.example((rotation, 2, alpha))
+    @hypothesis.example((selectors, 2, alpha))
+    def check(batch):
+        records, true_r, alpha = batch
+        assert (json.dumps(aggregate(records, true_r, alpha), sort_keys=True)
+                == json.dumps(aggregate_oracle.aggregate(records, true_r, alpha), sort_keys=True))
+
+    check()

@@ -138,7 +138,7 @@ class TestPcFit:
         f = rng.normal(size=(40, 1))
         c0 = lam @ f.T
         fit = pc_fit(panel_of(c0), 1)
-        assert np.max(np.abs(fit.common - c0)) < 1e-8
+        assert np.max(np.abs(fit.loadings @ fit.factors.T - c0)) < 1e-8
         expected_eig = np.sum(lam**2) * float((f.T @ f).item() / 40) / 15
         assert abs(fit.eigvals[0] - expected_eig) < 1e-8
 
@@ -151,7 +151,7 @@ class TestPcFit:
         ll = fit.loadings.T @ fit.loadings / n
         assert np.max(np.abs(ll - np.diag(fit.eigvals))) < 1e-8
         assert np.all(np.diff(fit.eigvals) <= 1e-12)
-        assert np.max(np.abs((panel.values - fit.common) @ fit.factors)) < 1e-8
+        assert np.max(np.abs((panel.values - fit.loadings @ fit.factors.T) @ fit.factors)) < 1e-8
 
     def test_nested_in_larger_fit(self):
         panel = random_panel(10, 16, seed=4)
@@ -222,16 +222,6 @@ class TestResidualVariances:
             residual_variances(eig, 0)
         with pytest.raises(ValueError):
             residual_variances(eig, 9)
-
-
-class TestLazyFit:
-    def test_common_built_on_first_read(self):
-        panel = random_panel(8, 12, seed=36)
-        fit = pc_fit(panel, 2)
-        assert "common" not in vars(fit)
-        common = fit.common
-        assert "common" in vars(fit)
-        assert fit.common is common  # cached, not rebuilt
 
 
 class TestDecompose:
