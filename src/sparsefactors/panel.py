@@ -405,6 +405,8 @@ def align_and_trim(panel: Panel, codes) -> Panel:
     ------
     InsufficientSampleError
         If the trimmed panel would have fewer than 10 periods.
+    TransformError
+        If a transformed value is not finite, naming the series, its code and the period.
     """
     codes = list(codes)
     if len(codes) != panel.n_series:
@@ -415,9 +417,15 @@ def align_and_trim(panel: Panel, codes) -> Panel:
             f"only {t_out} periods would remain after trimming (minimum 10)"
         )
     out = np.empty((panel.n_series, t_out))
-    for i, code in enumerate(codes):
-        z = apply_tcode(panel.values[i], code)
-        out[i] = z[len(z) - t_out :]
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is refused below
+        for i, code in enumerate(codes):
+            z = apply_tcode(panel.values[i], code)
+            out[i] = z[len(z) - t_out :]
+    bad = np.argwhere(~np.isfinite(out))
+    if bad.size:
+        i, k = bad[0]
+        raise TransformError(f"series {panel.series_ids[i]!r} overflows under code {codes[i]} "
+                             f"at period {panel.time_ids[k + 2]!r}", index=int(k + 2))
     return Panel(
         values=out,
         series_ids=panel.series_ids,
@@ -448,11 +456,15 @@ def _standardized(panel: Panel) -> tuple[np.ndarray, np.ndarray]:
             f"standardizing needs at least 2 periods, got {panel.n_periods}")
     x = panel.values
     with np.errstate(over="ignore", invalid="ignore"):  # np.std(ddof=1)'s arithmetic, mean taken once
-        dev = x - x.mean(axis=1, keepdims=True)
+        mean = x.mean(axis=1)
+        dev = x - mean[:, None]
         sd = np.sqrt(np.add.reduce(dev * dev, axis=1) / (panel.n_periods - 1))
-    bad = np.nonzero(~((0.0 < sd) & (sd < np.inf)))[0]  # 0, inf, or NaN from an inf mean
+    tiny = sd <= 1e-8 * np.abs(mean)  # sd 0, or ~1e-17 |c| where a constant c's mean is inexact
+    constant = sd == 0.0
+    constant[tiny] |= np.ptp(x[tiny], axis=1) == 0.0
+    bad = np.nonzero(constant | ~(sd < np.inf))[0]  # constant, or sd inf or NaN from an inf mean
     if bad.size:
-        why = "is constant" if sd[bad[0]] == 0.0 else "overflows in its mean or variance"
+        why = "is constant" if constant[bad[0]] else "overflows in its mean or variance"
         raise DegenerateSeriesError(
             f"series {panel.series_ids[bad[0]]!r} {why} and cannot be standardized"
         )

@@ -15,9 +15,9 @@ import numpy as np
 
 from . import _blas
 from .errors import InvalidArgumentError
-from .factor_count import DEFAULT_RMAX, SELECTORS
+from .factor_count import DEFAULT_RMAX, SELECTORS, check_rmax
 from .panel import Panel, csv_text, standardize
-from .screening import DEFAULT_C, estimate
+from .screening import DEFAULT_C, estimate, threshold_value
 
 HEATMAP_CENSOR = 3.0
 
@@ -78,6 +78,8 @@ def rolling_analysis(
     unknown = [m for m in methods if m not in SELECTORS]
     if unknown:
         raise InvalidArgumentError(f"unknown methods {unknown}")
+    check_rmax(methods, rmax, panel.n_series, window)  # bad arguments fail before any thread
+    threshold_value(panel.n_series, window, c_multiplier)
     ends = range(window, panel.n_periods + 1)
 
     def one_window(t):

@@ -13,7 +13,10 @@ from sparsefactors import (
     select_r_svt,
 )
 import sparsefactors.factor_count as factor_count
-from sparsefactors.factor_count import diagnostics_json
+from sparsefactors.factor_count import EXTRA_EIGENVALUES, SELECTORS, diagnostics_json
+from sparsefactors.pca import SymEig, decompose, numerical_rank
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def panel_of(values):
@@ -125,7 +128,7 @@ class TestAh:
     def test_exact_zero_tail_treated_as_infinite(self):
         res = select_r_ah(panel_of(np.zeros((20, 20))), rmax=4)
         assert all(math.isinf(d[1]) for d in res.diagnostics)
-        assert res.r_hat == 1  # lowest k wins the all-infinite tie
+        assert res.r_hat == 0  # lowest k wins the all-infinite tie, capped at rank(X) = 0
 
     def test_ratios_match_recomputation(self):
         from sparsefactors.pca import eig_sym_desc, gram
@@ -175,3 +178,69 @@ class TestSharedInterface:
         blob = json.dumps(diagnostics_json(out))
         parsed = json.loads(blob)
         assert parsed["wz"]["r_hat"] == out["wz"].r_hat
+
+
+def assert_rank_rule(panel, rmax, eig=None):
+    """Every rule's r_hat is at most the numerical rank q, and it notes "rank-deficient:
+    rank(X) = q" exactly when q < rmax + EXTRA_EIGENVALUES[method]; returns the results."""
+    eig = decompose(panel) if eig is None else eig
+    q = numerical_rank(panel, eig)
+    out = {m: select(panel, rmax=rmax, eig=eig) for m, select in SELECTORS.items()}
+    for m, res in out.items():
+        assert res.r_hat <= q, (m, res.r_hat, q)
+        expected = [f"rank-deficient: rank(X) = {q}"] if q < rmax + EXTRA_EIGENVALUES[m] else []
+        assert [n for n in res.notes if n.startswith("rank-deficient")] == expected, m
+    return out
+
+
+class TestRankRule:
+    @pytest.mark.parametrize("rank", [0, 1, 2, 3])
+    @pytest.mark.parametrize("shape", [(200, 16), (16, 200)])
+    def test_exactly_low_rank_in_both_orientations(self, shape, rank):
+        panel = low_rank_panel(*shape, rank=rank, seed=20 + rank)
+        assert numerical_rank(panel, decompose(panel)) == rank
+        out = assert_rank_rule(panel, rmax=8)  # rank 0: the zero panel
+        assert out["wz"].r_hat == out["bn"].r_hat == rank  # the exact fit is found, not passed
+
+    def test_note_exactly_when_a_read_eigenvalue_is_roundoff(self):
+        # rank 10 on 60 x 80: rmax = 9 reads 10 eigenvalues for wz, bn and ah, 14 for ed
+        panel = low_rank_panel(60, 80, rank=10, seed=24)
+        out = assert_rank_rule(panel, rmax=9)
+        assert [m for m, res in out.items() if res.notes] == ["ed"]
+        assert [m for m, res in assert_rank_rule(panel, rmax=10).items() if res.notes] == [
+            "wz", "bn", "ed", "ah"]
+
+    def test_select_r_is_the_rules_one_by_one(self):
+        panel = low_rank_panel(30, 200, rank=2, seed=25)
+        together = select_r(panel, ["wz", "bn", "ed", "ah"], rmax=8)
+        for m, res in assert_rank_rule(panel, rmax=8).items():
+            assert (res.r_hat, res.notes) == (together[m].r_hat, together[m].notes)
+
+    def test_tie_at_the_boundary_is_never_split(self, eig_dims):
+        panel = panel_of(np.random.default_rng(26).normal(size=(100, 100)))
+        bulk = np.linspace(0.4, 0.01, 96)
+        eig = SymEig(np.concatenate([[10.0, 6.0, 3.0, 3.0], bulk]), None, "T", None)
+        for res in assert_rank_rule(panel, rmax=8, eig=eig).values():
+            assert res.r_hat == 4 and not res.notes
+        assert eig_dims == []  # a given spectrum is not recomputed
+
+    def test_tie_above_a_zero_tail(self):
+        panel = panel_of(np.random.default_rng(27).normal(size=(40, 40)))
+        eig = SymEig(np.concatenate([[3.0, 3.0], np.zeros(38)]), None, "T", None)
+        for res in assert_rank_rule(panel, rmax=6, eig=eig).values():
+            assert res.r_hat == 2
+
+    def test_cauchy_tailed_panel(self):
+        rng = np.random.default_rng(28)
+        panel = panel_of(rng.normal(size=(60, 2)) @ rng.normal(size=(2, 200))
+                         + rng.standard_cauchy(size=(60, 200)))
+        for res in assert_rank_rule(panel, rmax=8).values():
+            assert not res.notes
+
+    def test_ed_never_exceeds_the_rank_of_exactly_low_rank_panels(self):
+        # uncapped, the edge-distribution rule reads roundoff gaps: r_hat > rank(X) on 12 of 40
+        shapes = [(60, 40), (40, 60), (100, 100), (30, 200)]
+        for seed in range(40):
+            panel = low_rank_panel(*shapes[seed % 4], rank=1 + seed % 3, seed=seed)
+            res = assert_rank_rule(panel, rmax=8)["ed"]
+            assert res.notes == (f"rank-deficient: rank(X) = {1 + seed % 3}",)

@@ -288,6 +288,14 @@ class TestAlignAndTrim:
         with pytest.raises(ValueError):
             align_and_trim(panel, [1])
 
+    def test_overflowing_transform_names_the_series(self):
+        vals = np.vstack([np.arange(12.0), np.arange(12.0)])
+        vals[1, 4:6] = 1e308, -1e308  # the code-2 difference at period 5 is -inf
+        panel = Panel(vals, ["ok", "big"], [f"t{j}" for j in range(12)])
+        with pytest.raises(TransformError, match=r"'big' overflows under code 2 at period 't5'") as err:
+            align_and_trim(panel, [1, 2])
+        assert err.value.index == 5
+
 
 class TestStandardize:
     def test_simple_row(self):
@@ -324,10 +332,11 @@ class TestStandardize:
             assert np.array_equal(standardize(panel).values, expected)
 
     def test_constant_series_is_named(self):
-        vals = np.vstack([np.ones(10), np.arange(10.0)])
-        panel = Panel(vals, ["flat", "ok"], [f"t{j}" for j in range(10)])
-        with pytest.raises(DegenerateSeriesError, match="flat"):
-            standardize(panel)
+        for c in (1.0, 0.1, 1 / 3):  # 20 copies of 0.1 or 1/3 have an inexact mean: sd ~ 1e-17
+            vals = np.vstack([np.full(20, c), np.arange(20.0)])
+            panel = Panel(vals, ["flat", "ok"], [f"t{j}" for j in range(20)])
+            with pytest.raises(DegenerateSeriesError, match="'flat' is constant"):
+                standardize(panel)
 
     def test_overflowing_variance_is_named(self):
         # the squared deviations overflow, so sd = inf would zero the series

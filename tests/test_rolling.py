@@ -98,6 +98,16 @@ class TestRollingAnalysis:
         with pytest.raises(ValueError, match="window"):
             rolling_analysis(panel, window=31)
 
+    def test_bad_rmax_or_c_rejected_before_any_decomposition(self, eig_dims):
+        panel, _ = sim_panel(20, 30, seed=5)
+        with pytest.raises(ValueError, match=r"min\(N, T\) - 5 = 15 for 'ed'.*got 16"):
+            rolling_analysis(panel, window=20, rmax=16)
+        with pytest.raises(ValueError, match="N must be at least 16"):
+            rolling_analysis(sim_panel(15, 30, seed=5)[0], window=20, methods=("bn",), rmax=2)
+        with pytest.raises(ValueError, match="c must be positive, got 0.0"):
+            rolling_analysis(panel, window=20, rmax=2, c_multiplier=0.0)
+        assert eig_dims == []
+
     def test_deterministic(self):
         panel, _ = sim_panel(40, 60, seed=6)
         a = rolling_analysis(panel, window=40, rmax=4)
@@ -167,21 +177,22 @@ class TestWindowThreads:
         assert _blas.threads() == before
 
     def test_failing_window_raises_the_same_error_for_any_thread_count(self, monkeypatch):
-        panel, _ = sim_panel(30, 80, seed=17)
-        values = np.array(panel.values)
-        values[4, 30:55] = 2.5  # constant on the window of periods 30..54
-        values[9, 50:75] = -1.0  # and another series on a later window
-        panel = Panel(values, panel.series_ids, panel.time_ids)
+        sim, _ = sim_panel(30, 80, seed=17)
         before = _blas.threads()
-        messages = []
-        for k in (1, 2):
-            windows_on(monkeypatch, k)
-            with pytest.raises(DegenerateSeriesError) as info:
-                rolling_analysis(panel, window=25, rmax=4)
-            messages.append(str(info.value))
-            assert _blas.threads() == before
-        assert messages[0] == messages[1]
-        assert f"series {panel.series_ids[4]!r} is constant" in messages[0]  # the earlier window
+        for c in (2.5, 0.1, 1 / 3):  # 0.1 and 1/3 have inexact window means: sd is roundoff, not 0
+            values = np.array(sim.values)
+            values[4, 30:55] = c  # constant on the window of periods 30..54
+            values[9, 50:75] = -c  # and another series on a later window
+            panel = Panel(values, sim.series_ids, sim.time_ids)
+            messages = []
+            for k in (1, 2):
+                windows_on(monkeypatch, k)
+                with pytest.raises(DegenerateSeriesError) as info:
+                    rolling_analysis(panel, window=25, rmax=4)
+                messages.append(str(info.value))
+                assert _blas.threads() == before
+            assert messages[0] == messages[1]
+            assert f"series {panel.series_ids[4]!r} is constant" in messages[0]  # the earlier window
 
     def test_unrecognised_blas_means_one_thread(self, monkeypatch, two_cpus):
         monkeypatch.setattr(_blas, "_library", lambda: None)
