@@ -13,10 +13,10 @@ ACM TOMS 32(4), 2006) the eigenvectors of the tridiagonal for the top k eigenval
 and ``dormtr`` maps them back through the reduction. With a BLAS that is not
 recognised it returns None.
 
-Work that runs in parallel does so on threads inside :func:`single_threaded`, on a
-pool of :func:`pool_size` threads: numpy releases the interpreter lock in the BLAS
-calls, and one BLAS thread per pool thread keeps the roundoff independent of the
-pool's size.
+A batch of independent units (replications, rolling windows) runs through
+:func:`pinned_map` alone: on a pool of :func:`pool_size` threads inside
+:func:`single_threaded`. numpy releases the interpreter lock in the BLAS calls, and
+one BLAS thread per pool thread keeps the roundoff independent of the pool's size.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import ctypes
 import glob
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
@@ -197,3 +198,14 @@ def single_threaded():
             _depth -= 1
             if _depth == 0:
                 set_(_saved)
+
+
+def pinned_map(fn, items, requested: int) -> tuple[list, dict]:
+    """``[fn(item) for item in items]`` on ``pool_size(requested, len(items))`` threads inside
+    :func:`single_threaded` (the first exception in the items' order is raised), and how they
+    ran: ``{"workers": threads, "blas_threads": the BLAS count they ran on, or None}``."""
+    workers = pool_size(requested, len(items))
+    with single_threaded(), ThreadPoolExecutor(workers) as pool:
+        blas_threads = threads()
+        results = list(pool.map(fn, items))
+    return results, {"workers": workers, "blas_threads": blas_threads}

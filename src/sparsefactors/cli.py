@@ -5,15 +5,15 @@ Subcommands: ``simulate``, ``estimate``, ``select-r``, ``strengths``,
 config file (``--config``), with command-line flags taking precedence.
 
 Each command maps its arguments to its output files and the resolved
-configuration (``rolling`` adds the number of window threads it used,
-``simulate`` the number of threads it used and the BLAS thread count the
-replications ran on). ``simulate --workers`` is a thread count with a floor of
-two, capped by the usable CPUs and by ``--reps``, so ``--workers 1`` runs, and
-records, two threads on a machine with two or more CPUs.
+configuration; the two batch commands, ``simulate`` and ``rolling``, add how the
+batch ran: ``workers``, the threads its replications or windows ran on, and the
+BLAS thread count they ran on. ``simulate --workers`` is a thread count with a
+floor of two, capped by the usable CPUs and by ``--reps``, so ``--workers 1``
+runs, and records, two threads on a machine with two or more CPUs.
 :func:`run_cli` alone writes them atomically (temp file + rename) together
 with a ``manifest.json`` holding the resolved configuration, the seed
 actually used, package versions, the BLAS vendor and thread count (None
-when the BLAS is not recognised), any such run facts, and wall time, and
+when the BLAS is not recognised), a batch's ``workers``, and wall time, and
 maps the outcome to an exit status: 0 success; 1 for any
 :class:`~sparsefactors.errors.SparseFactorsError`, i.e. a bad file, flag or
 config value (the library raises :class:`InvalidArgumentError` for those),
@@ -65,15 +65,17 @@ def _write_outputs(outdir: Path, files: dict, manifest: dict) -> None:
             f"cannot write output directory {outdir}: {exc.strerror}") from None
 
 
-def _manifest(subcommand: str, resolved: dict, facts: dict, t0: float) -> dict:
+def _manifest(subcommand: str, resolved: dict, t0: float, run: dict | None = None) -> dict:
+    """The manifest; a batch's ``run`` gives its workers and the BLAS count its units ran on."""
     return {
         "subcommand": subcommand,
         "config": resolved,
         "seed": resolved.get("seed"),
         "versions": {"python": sys.version.split()[0], "numpy": np.__version__,
                      "sparsefactors": __version__},
-        "blas": {"vendor": _blas.vendor(), "threads": _blas.threads()},
-        **facts,
+        "blas": {"vendor": _blas.vendor(),
+                 "threads": _blas.threads() if run is None else run["blas_threads"]},
+        **({} if run is None else {"workers": run["workers"]}),
         "wall_time_s": round(time.monotonic() - t0, 3),
     }
 
@@ -216,10 +218,7 @@ def _cmd_simulate(args) -> tuple[dict, dict, dict]:
                               **{kw: resolved[key] for key, kw in _RUN_KEYWORDS.items()})
     files = {"report.json": json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"}
     files.update(_report_tables(report, config))
-    run = report.run  # the count the replications ran on, not the one restored afterwards
-    facts = {"workers": run["workers"],
-             "blas": {"vendor": _blas.vendor(), "threads": run["blas_threads"]}}
-    return files, resolved, facts
+    return files, resolved, report.run
 
 
 def _report_tables(report, config) -> dict:
@@ -297,8 +296,7 @@ def _cmd_rolling(args) -> tuple[dict, dict, dict]:
     result = rolling_analysis(panel, window=args.window, methods=methods, rmax=args.rmax,
                               c_multiplier=args.c)
     files = {"rolling.csv": rolling_to_csv(result)}
-    facts = {"window_threads": result.threads}
-    return files, _data_config(args, window=args.window, methods=methods), facts
+    return files, _data_config(args, window=args.window, methods=methods), result.run
 
 
 def _cmd_heatmap(args) -> tuple[dict, dict]:
@@ -404,9 +402,8 @@ def run_cli(argv=None) -> int:
         return 0 if not exc.code else 1
     t0 = time.monotonic()
     try:
-        files, resolved, *facts = args.func(args)  # facts: how rolling or simulate ran
-        _write_outputs(Path(args.out), files,
-                       _manifest(args.subcommand, resolved, dict(*facts), t0))
+        files, resolved, *run = args.func(args)  # run: how a batch ran
+        _write_outputs(Path(args.out), files, _manifest(args.subcommand, resolved, t0, *run))
     except SparseFactorsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

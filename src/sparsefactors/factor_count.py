@@ -47,12 +47,17 @@ class FactorCountResult:
 
 
 def check_rmax(methods, rmax: int, n: int, t: int) -> None:
-    """Require that every rule in ``methods`` can run on an N x T panel with ``rmax``.
+    """Require that every rule in ``methods`` is known and can run on an N x T panel with
+    ``rmax``; an unknown name is refused first.
 
     Each rule reads ``rmax + EXTRA_EIGENVALUES[method]`` of the min(N, T) eigenvalues; the
     message names the rule that reads the most, the first by name among equals. The SVT rule
     ("wz") also needs N >= 16, the least N at which its threshold's ``ln ln N`` reaches 1.
     """
+    unknown = [m for m in methods if m not in _RULES]
+    if unknown:
+        raise InvalidArgumentError(
+            f"unknown factor-count methods {unknown}; choose from {sorted(_RULES)}")
     m = min(n, t)
     if not 1 <= rmax <= m:
         raise InvalidArgumentError(f"rmax must be in [1, {m}], got {rmax}")
@@ -176,9 +181,6 @@ SELECTORS = {"wz": select_r_svt, "bn": select_r_icp1, "ed": select_r_ed, "ah": s
 
 def select_r(panel: Panel, methods, rmax: int = DEFAULT_RMAX) -> dict[str, FactorCountResult]:
     """Run several selection rules on one shared decomposition."""
-    unknown = [m for m in methods if m not in SELECTORS]
-    if unknown:
-        raise InvalidArgumentError(f"unknown factor-count methods {unknown}; choose from {sorted(SELECTORS)}")
     return _count(panel, methods, rmax, None)
 
 

@@ -450,7 +450,8 @@ def standardize(panel: Panel) -> Panel:
 def _standardized(panel: Panel) -> tuple[np.ndarray, np.ndarray]:
     """``(values, sd)`` of ``standardize``: the standardized N x T values and the
     per-series sample standard deviations (ddof=1, shape (N,)) they were divided by,
-    bitwise ``panel.values.std(axis=1, ddof=1)``. Raises as ``standardize`` does."""
+    bitwise ``panel.values.std(axis=1, ddof=1)`` but where every deviation of a series is
+    below 1e-150. Raises as ``standardize`` does."""
     if panel.n_periods < 2:
         raise InsufficientSampleError(
             f"standardizing needs at least 2 periods, got {panel.n_periods}")
@@ -459,6 +460,10 @@ def _standardized(panel: Panel) -> tuple[np.ndarray, np.ndarray]:
         mean = x.mean(axis=1)
         dev = x - mean[:, None]
         sd = np.sqrt(np.add.reduce(dev * dev, axis=1) / (panel.n_periods - 1))
+    for i in np.nonzero(sd < 1e-140)[0]:  # among them, every row whose deviations are all < 1e-150
+        m = np.abs(dev[i]).max()
+        if 0.0 < m < 1e-150:  # their squares may underflow: square them scaled by the largest
+            sd[i] = m * np.sqrt(np.add.reduce((dev[i] / m) ** 2) / (panel.n_periods - 1))
     tiny = sd <= 1e-8 * np.abs(mean)  # sd 0, or ~1e-17 |c| where a constant c's mean is inexact
     constant = sd == 0.0
     constant[tiny] |= np.ptp(x[tiny], axis=1) == 0.0

@@ -8,7 +8,6 @@ endpoint labels each record.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,9 +26,9 @@ class RollingResult:
     """Per-window factor counts and strengths.
 
     ``strength_series[w]`` has length ``r_hat_series["wz"][w]`` (empty when
-    the window is degenerate, i.e. the SVT rule found no factors). ``threads``
-    is the size of the thread pool the windows ran on; equality ignores it,
-    since the windows' results do not depend on it.
+    the window is degenerate, i.e. the SVT rule found no factors). ``run`` is how the
+    windows ran, in ``MetricsReport.run``'s shape; equality ignores it, since the
+    windows' results do not depend on it.
     """
 
     window_length: int
@@ -37,7 +36,7 @@ class RollingResult:
     r_hat_series: dict
     strength_series: tuple
     notes: tuple
-    threads: int = field(compare=False)
+    run: dict = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -66,48 +65,39 @@ def rolling_analysis(
     Windows are ``[t - window + 1, t]`` for ``t = window .. T``; each is
     re-standardized before estimation. Strengths are computed at the
     SVT-selected count (the "wz" method is always run for that purpose) and
-    windows with no detected factor are flagged. Windows run on as many
-    threads as the BLAS had, with the BLAS held to one thread meanwhile and
-    restored afterwards; the result is the same for any thread count.
+    windows with no detected factor are flagged. Windows run through
+    ``_blas.pinned_map`` on as many threads as the BLAS had (one when it is not
+    recognised); the result is the same for any thread count.
     """
     if window > panel.n_periods:
         raise InvalidArgumentError(f"window {window} exceeds panel length {panel.n_periods}")
     if window < 10:
         raise InvalidArgumentError(f"window must be at least 10 periods, got {window}")
     methods = tuple(dict.fromkeys(tuple(methods) + ("wz",)))  # ensure wz, keep order
-    unknown = [m for m in methods if m not in SELECTORS]
-    if unknown:
-        raise InvalidArgumentError(f"unknown methods {unknown}")
     check_rmax(methods, rmax, panel.n_series, window)  # bad arguments fail before any thread
     threshold_value(panel.n_series, window, c_multiplier)
     ends = range(window, panel.n_periods + 1)
 
     def one_window(t):
-        """(r_hat per method, strengths sorted nonincreasing, degenerate flag) of window ``t``."""
+        """(r_hat per method, strengths sorted nonincreasing) of window ``t``."""
         sl = slice(t - window, t)
         win = panel._derived(panel.values[:, sl], panel.time_ids[sl])
         est = estimate(standardize(win), rmax=rmax, c=c_multiplier)  # est.r is the "wz" count
         r_hats = tuple(
             est.r if m == "wz" else SELECTORS[m](est.panel, rmax=rmax, eig=est.eig).r_hat
             for m in methods)
-        if est.fit is None:
-            return r_hats, (), True
-        return r_hats, tuple(sorted(est.strength.alpha_hat, reverse=True)), False
+        strengths = () if est.fit is None else tuple(sorted(est.strength.alpha_hat, reverse=True))
+        return r_hats, strengths
 
-    # Windows are independent, and the GIL is released in the Gram product and in the ctypes
-    # LAPACK calls of the decomposition. Each window's BLAS runs on one thread, so the result
-    # does not depend on the number of window threads: as many as the BLAS had (read before
-    # pinning makes it 1), 1 when it is not recognised.
-    threads = _blas.pool_size(_blas.threads() or 1, len(ends))
-    with _blas.single_threaded(), ThreadPoolExecutor(threads) as pool:
-        r_hats, strengths_out, degenerate = zip(*pool.map(one_window, ends))
+    windows, run = _blas.pinned_map(one_window, ends, _blas.threads() or 1)
+    r_hats, strengths_out = zip(*windows)
     return RollingResult(
         window_length=window,
         endpoints=tuple(panel.time_ids[t - 1] for t in ends),
         r_hat_series=dict(zip(methods, zip(*r_hats))),
         strength_series=strengths_out,
-        notes=tuple("degenerate: r_hat = 0" if d else "" for d in degenerate),
-        threads=threads,
+        notes=tuple("" if s else "degenerate: r_hat = 0" for s in strengths_out),
+        run=run,
     )
 
 

@@ -19,7 +19,6 @@ any pool size.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
 
@@ -268,7 +267,7 @@ def _replicate_inner(config, panel, truth, tasks, rmax, c, rec) -> met.Replicati
     fit = est.fit
     if "fit" in tasks:
         lam0, f0 = truth.on_estimation_scale()
-        rec.tr_f = met.trace_stat_f(truth.F0, fit.factors)
+        rec.tr_f = met.trace_stat_f(f0, fit.factors)
         rec.tr_lambda = met.trace_stat_lambda(lam0, fit.loadings)
         rec.rmse_c = met.rmse_c(lam0, f0, fit.loadings, fit.factors)
         rec.eigvals = tuple(float(v) for v in fit.eigvals)
@@ -317,22 +316,16 @@ def run_replications(
     unknown = tasks - ALL_TASKS
     if unknown:
         raise InvalidArgumentError(f"unknown tasks {sorted(unknown)}; choose from {sorted(ALL_TASKS)}")
-    n_min = min(config.N, config.T)  # the selectors read rmax eigenvalues (AH, ED more), the fit r factors
     if tasks & SELECTORS.keys():
-        if rmax > n_min:
-            raise InvalidArgumentError(f"rmax must be at most min(N, T) = {n_min}, got {rmax}")
         check_rmax(tasks & SELECTORS.keys(), rmax, config.N, config.T)
+    n_min = min(config.N, config.T)  # the fit reads r factors
     if tasks - SELECTORS.keys() and config.r > n_min:
         raise InvalidArgumentError(f"r must be at most min(N, T) = {n_min}, got {config.r}")
     threshold_value(config.N, config.T, c_multiplier)  # a bad c fails before any replication
     replicate = partial(_replicate, config, tasks, rmax, c_multiplier)
-    workers = _blas.pool_size(max(workers, 2), R)
-    with _blas.single_threaded(), ThreadPoolExecutor(workers) as pool:
-        blas_threads = _blas.threads()
-        records = list(pool.map(replicate, range(R)))
+    records, run = _blas.pinned_map(replicate, range(R), max(workers, 2))
     agg = met.aggregate(records, config.r, config.alpha)
     report_config = {**asdict(config), "rmax": rmax, "c_multiplier": c_multiplier,
                      "tasks": sorted(tasks)}
-    run = {"workers": workers, "blas_threads": blas_threads}
     return met.MetricsReport(config=report_config, per_rep=records, aggregates=agg, run=run)
 

@@ -1,6 +1,8 @@
+import ast
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,6 +87,46 @@ def test_pool_size_is_capped_by_the_cpus_and_the_items(two_cpus):
     assert _blas.pool_size(1000, 6) == 2
     assert _blas.pool_size(1000, 1) == 1
     assert _blas.pool_size(1, 6) == 1
+
+
+def test_pinned_map_keeps_the_order_and_reports_how_it_ran(two_cpus):
+    pinned = None if _blas.threads() is None else 1
+    results, run = _blas.pinned_map(lambda i: (i, _blas.threads()), range(5), 3)
+    assert results == [(i, pinned) for i in range(5)]  # every item ran on the pinned BLAS
+    assert run == {"workers": 2, "blas_threads": pinned}
+
+
+def test_pinned_map_raises_the_first_error_in_the_items_order():
+    def fail_from_two(i):
+        if i >= 2:
+            raise ValueError(str(i))
+        return i
+
+    with pytest.raises(ValueError, match="^2$"):
+        _blas.pinned_map(fail_from_two, range(6), 3)
+
+
+def test_only_blas_opens_a_pool_or_pins_the_blas():
+    """Every batch runs through pinned_map: no other module of the package imports
+    concurrent.futures or calls single_threaded."""
+    package = Path(_blas.__file__).parent
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        if path == Path(_blas.__file__):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                modules = []
+            if any(m.split(".")[0] == "concurrent" for m in modules):
+                offenders.append(f"{path.name}:{node.lineno} imports {modules}")
+            if isinstance(node, ast.Call) and "single_threaded" in (
+                    getattr(node.func, "attr", None), getattr(node.func, "id", None)):
+                offenders.append(f"{path.name}:{node.lineno} calls single_threaded")
+    assert not offenders
 
 
 needs_lapacke = pytest.mark.skipif(_blas._lapack() is None, reason="LAPACKE not recognised")

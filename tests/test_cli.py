@@ -302,7 +302,7 @@ SIM = ["simulate", "--N", "36", "--T", "36", "--r", "2", "--alpha", "0.9,0.7",
         (["simulate", "--config", str(DATA / "config_range_length.json")], 1,
          "contiguous_ranges[1] must be integers (start, stop) within [0, 36], expected 12 units"),
         (SIM + ["--c", "nan"], 1, "c must be finite, got nan"),
-        (SIM + ["--T", "2"], 1, "rmax must be at most min(N, T) = 2, got 4"),
+        (SIM + ["--T", "2"], 1, "rmax must be in [1, 2], got 4"),
         (SIM + ["--T", "1", "--tasks", "fit"], 1, "r must be at most min(N, T) = 1, got 2"),
         (SIM + ["--seed", "-1"], 1, "seed must be non-negative, got -1"),
         (["estimate", "--r", "2", "--c", "inf"], 1, "c must be finite, got inf"),
@@ -355,11 +355,14 @@ def test_manifest_records_the_blas(tmp_path, monkeypatch, command):
         out = tmp_path / str(recognised)
         assert run_cli(command + ["--data", str(data), "--rmax", "4", "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["blas"] == {"vendor": _blas.vendor(), "threads": _blas.threads()}
-        if command[0] == "rolling":
-            assert 1 <= manifest["window_threads"] <= (_blas.threads() or 1)
-        else:
+        if command[0] == "rolling":  # the count the windows ran on, not the one restored
+            pinned = 1 if recognised else None
+            assert manifest["blas"] == {"vendor": _blas.vendor(), "threads": pinned}
+            assert 1 <= manifest["workers"] <= (_blas.threads() or 1)
             assert "window_threads" not in manifest
+        else:
+            assert manifest["blas"] == {"vendor": _blas.vendor(), "threads": _blas.threads()}
+            assert "workers" not in manifest
     assert manifest["blas"]["threads"] is None
 
 

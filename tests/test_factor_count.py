@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from sparsefactors import (
+    InvalidArgumentError,
     Panel,
     pc_fit,
+    rolling_analysis,
     select_r,
     select_r_ah,
     select_r_ed,
@@ -165,10 +167,18 @@ class TestSharedInterface:
             select(panel, rmax=40)
         assert not select(panel, rmax=39).notes  # no false "rank-deficient" path
 
-    def test_unknown_method_rejected(self):
+    @pytest.mark.parametrize("run", [
+        lambda panel: select_r(panel, ["wz", "xx"]),
+        lambda panel: rolling_analysis(panel, window=20, methods=["xx"]),
+        lambda panel: factor_count.check_rmax(["xx"], 4, 40, 40),
+    ], ids=["select_r", "rolling_analysis", "check_rmax"])
+    def test_unknown_method_rejected(self, run, eig_dims):
         panel = low_rank_panel(30, 30, rank=1, seed=13, noise=0.5)
-        with pytest.raises(ValueError, match="unknown"):
-            select_r(panel, ["wz", "nope"])
+        with pytest.raises(InvalidArgumentError) as info:
+            run(panel)
+        assert str(info.value) == ("unknown factor-count methods ['xx']; "
+                                   "choose from ['ah', 'bn', 'ed', 'wz']")
+        assert eig_dims == []  # refused before any work
 
     def test_diagnostics_json_roundtrip(self):
         import json

@@ -338,6 +338,14 @@ class TestStandardize:
             with pytest.raises(DegenerateSeriesError, match="'flat' is constant"):
                 standardize(panel)
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e-150])
+    def test_tiny_magnitudes_standardize_as_at_unit_scale(self, scale):
+        # squared deviations below 1e-300 would underflow to subnormals (1e-160) or 0 (1e-200)
+        times = [f"t{j}" for j in range(4)]
+        unit = standardize(Panel(np.array([[0.0, 1.0, 2.0, 3.0]]), ["tiny"], times)).values
+        tiny = standardize(Panel(scale * np.array([[0.0, 1.0, 2.0, 3.0]]), ["tiny"], times)).values
+        np.testing.assert_allclose(tiny, unit, rtol=1e-14, atol=0)
+
     def test_overflowing_variance_is_named(self):
         # the squared deviations overflow, so sd = inf would zero the series
         vals = np.vstack([np.arange(10.0), 1e307 * np.arange(10.0)])

@@ -139,13 +139,13 @@ def windows_on(monkeypatch, k):
 
 def pool_sizes(monkeypatch):
     """List that grows by the size of every thread pool rolling_analysis opens."""
-    sizes, real = [], rolling.ThreadPoolExecutor
+    sizes, real = [], _blas.ThreadPoolExecutor
 
     def recording(threads):
         sizes.append(threads)
         return real(threads)
 
-    monkeypatch.setattr(rolling, "ThreadPoolExecutor", recording)
+    monkeypatch.setattr(_blas, "ThreadPoolExecutor", recording)
     return sizes
 
 
@@ -198,8 +198,10 @@ class TestWindowThreads:
         monkeypatch.setattr(_blas, "_library", lambda: None)
         sizes = pool_sizes(monkeypatch)
         panel, _ = sim_panel(30, 50, seed=18)
-        assert len(rolling_analysis(panel, window=40, rmax=4).endpoints) == 11
+        result = rolling_analysis(panel, window=40, rmax=4)
+        assert len(result.endpoints) == 11
         assert sizes == [1]
+        assert result.run == {"workers": 1, "blas_threads": None}
 
     @pytest.mark.skipif(_blas.threads() is None, reason="BLAS not recognised")
     def test_thread_count_capped_by_windows_and_blas(self, monkeypatch, two_cpus):
@@ -215,7 +217,8 @@ class TestWindowThreads:
         finally:
             set_(before)
         assert sizes == [1, 1, 1, 2]
-        assert [result.threads for result in results] == sizes  # the pool that was opened
+        assert [result.run["workers"] for result in results] == sizes  # the pool that was opened
+        assert [r.run for r in results] == [{"workers": k, "blas_threads": 1} for k in sizes]
 
 
 class TestSubperiodHeatmap:

@@ -20,6 +20,7 @@ from sparsefactors import (
     simulate_panel,
     standardize,
 )
+import sparsefactors.metrics as met
 import sparsefactors.simulate as simulate
 from sparsefactors.simulate import support_size
 
@@ -186,6 +187,17 @@ class TestRunReplications:
         assert agg["mean_tr_f"] == pytest.approx(rec.tr_f)
         assert agg["fdr"] == [pytest.approx(v) for v in rec.fdr]
 
+    @pytest.mark.parametrize("standardize", [False, True])
+    def test_fit_statistics_read_the_truth_on_the_estimation_scale(self, standardize):
+        cfg = SimConfig(N=40, T=50, r=2, alpha=(0.9, 0.7), seed=9, standardize=standardize)
+        rec = run_replications(cfg, 1, tasks={"fit"}).per_rep[0]
+        panel, truth = simulate_panel(cfg)
+        fit = pc_fit(panel, 2)
+        lam0, f0 = truth.on_estimation_scale()  # centred factors when standardized
+        assert rec.tr_f == met.trace_stat_f(f0, fit.factors)
+        assert rec.tr_lambda == met.trace_stat_lambda(lam0, fit.loadings)
+        assert rec.rmse_c == met.rmse_c(lam0, f0, fit.loadings, fit.factors)
+
     def test_worker_count_does_not_change_report(self):
         import json
 
@@ -348,7 +360,7 @@ class TestRunReplications:
 
     def test_dimension_bounds_checked_up_front(self):
         cfg = SimConfig(N=40, T=5, r=2, alpha=(0.9, 0.7), seed=8)
-        with pytest.raises(ValueError, match=re.escape("rmax must be at most min(N, T) = 5")):
+        with pytest.raises(ValueError, match=re.escape("rmax must be in [1, 5], got 6")):
             run_replications(cfg, 1, tasks={"wz"}, rmax=6)
         assert run_replications(cfg, 1, tasks={"fit"}, rmax=6).aggregates["failed"] == 0
         thin = SimConfig(N=40, T=1, r=2, alpha=(0.9, 0.7), seed=8)
