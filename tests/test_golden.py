@@ -1,0 +1,87 @@
+"""The CLI's data artifacts against the golden files in ``tests/golden``.
+
+Every command of ``make_golden.COMMANDS`` is rerun into ``tmp_path``. Each command must write
+the same artifacts, and in each artifact (a JSON document or a CSV table) every integer and
+string leaf must match exactly; a float may differ by roundoff, at most
+``1e-12 * max(1, |a|, |b|)``. The second case takes the ``eigh`` route, as under a BLAS
+without the LAPACK routines of ``_blas``.
+"""
+
+import csv
+import json
+import math
+
+import pytest
+
+from golden.make_golden import COMMANDS, GOLDEN, artifacts, run_commands
+from sparsefactors import _blas
+
+RTOL = 1e-12
+
+
+def _cell(text: str):
+    """A CSV cell as an int, a float or, failing both, the string itself."""
+    for convert in (int, float):
+        try:
+            return convert(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _document(path):
+    """A JSON artifact as parsed, a CSV artifact as its rows of cells."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".json":
+        return json.loads(text)
+    return [[_cell(c) for c in row] for row in csv.reader(text.splitlines())]
+
+
+def _close(a: float, b: float) -> bool:
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b or abs(a - b) <= RTOL * max(1.0, abs(a), abs(b))
+
+
+def _mismatches(want, got, where: str):
+    """Where ``got`` departs from ``want``: a different shape or type, an unequal integer or
+    string, or a float beyond roundoff."""
+    if isinstance(want, dict) and isinstance(got, dict):
+        if want.keys() != got.keys():
+            yield f"{where}: keys {sorted(want)} != {sorted(got)}"
+            return
+        for key in want:
+            yield from _mismatches(want[key], got[key], f"{where}.{key}")
+    elif isinstance(want, list) and isinstance(got, list):
+        if len(want) != len(got):
+            yield f"{where}: length {len(want)} != {len(got)}"
+            return
+        for k, (w, g) in enumerate(zip(want, got)):
+            yield from _mismatches(w, g, f"{where}[{k}]")
+    elif type(want) is float and type(got) is float:
+        if not _close(want, got):
+            yield f"{where}: {want!r} != {got!r}"
+    elif type(want) is not type(got) or want != got:
+        yield f"{where}: {want!r} != {got!r}"
+
+
+@pytest.mark.parametrize("route", ["default", "eigh"])
+def test_cli_outputs_match_the_golden_files(route, tmp_path, monkeypatch):
+    if route == "eigh":
+        monkeypatch.setattr(_blas, "_lapack", lambda: None)
+    run_commands(tmp_path)
+    found = []
+    for name in COMMANDS:
+        want, got = GOLDEN / name, tmp_path / name
+        assert artifacts(got) == artifacts(want), name
+        for file in artifacts(want):
+            found += _mismatches(_document(want / file), _document(got / file), f"{name}/{file}")
+    assert not found, f"{len(found)} mismatches, first: {found[:5]}"
+
+
+def test_a_departure_is_reported():
+    assert list(_mismatches({"a": [1, "x", 0.5]}, {"a": [1, "x", 0.5 + 1e-13]}, "f")) == []
+    assert list(_mismatches([[2, 0.5]], [[3, 0.5]], "f")) == ["f[0][0]: 2 != 3"]
+    assert list(_mismatches([1.0], [1.0 + 1e-9], "f")) == [f"f[0]: 1.0 != {1.0 + 1e-9!r}"]
+    assert list(_mismatches([1], [1.0], "f")) == ["f[0]: 1 != 1.0"]
+    assert list(_mismatches({"a": 1}, {"b": 1}, "f")) == ["f: keys ['a'] != ['b']"]
