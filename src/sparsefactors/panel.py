@@ -69,10 +69,13 @@ class Panel:
     Parameters
     ----------
     values : ndarray, shape (N, T)
-        Observations; rows are series, columns are time periods. The panel keeps a
-        read-only copy, C- or F-contiguous as the given array is (any other view is made
-        contiguous), so BLAS reads it in place; the caller's array stays writeable, and
-        a later change to it does not reach the panel.
+        Observations; rows are series, columns are time periods. An array from outside
+        the package is copied and checked: the panel keeps a read-only copy, C- or
+        F-contiguous as the given array is (any other view is made contiguous), so BLAS
+        reads it in place; the caller's array stays writeable, and a later change to it
+        does not reach the panel. A panel the package builds (ingestion, ``align_and_trim``,
+        ``standardize``, ``simulate_panel``, rolling windows and heat-map subperiods) is
+        handed the array it built and checked there, made read-only, with no copy.
     series_ids : tuple of str
         N series names.
     time_ids : tuple of str
@@ -105,17 +108,17 @@ class Panel:
         if not np.all(np.isfinite(self.values)):
             raise InvalidArgumentError("Panel values must be finite (no missing entries)")
 
-    def _derived(self, values: np.ndarray, time_ids: tuple | None = None) -> Panel:
-        """A panel of this one's series and group ids over ``values``, made without the checks
-        of ``__post_init__``: ``values`` must be derived from this panel's checked values, as a
-        slice of its columns labelled ``time_ids``, or as its standardization (finite, same
-        shape, time ids kept). Read-only like every panel's values."""
+    @classmethod
+    def _adopt(cls, values: np.ndarray, series_ids: tuple, time_ids: tuple,
+               group_ids: tuple | None = None) -> Panel:
+        """A panel that takes over ``values``, an array the package itself built and checked
+        where it built it: finite, shaped as the tuples of labels, which ``__post_init__``
+        would make. It is made read-only, not copied, and not checked again."""
         values.setflags(write=False)
-        derived = object.__new__(Panel)
-        derived.__dict__.update(values=values, series_ids=self.series_ids,
-                                time_ids=self.time_ids if time_ids is None else time_ids,
-                                group_ids=self.group_ids)
-        return derived
+        panel = object.__new__(cls)
+        panel.__dict__.update(values=values, series_ids=series_ids, time_ids=time_ids,
+                              group_ids=group_ids)
+        return panel
 
     @property
     def n_series(self) -> int:
@@ -291,13 +294,8 @@ def _checked_panel(time_ids: tuple, has_group: bool, series) -> tuple[Panel, Dro
         raise PanelParseError("no series rows after the header")
     if not data:
         raise PanelParseError("all series were dropped (missing observations everywhere)")
-    panel = Panel(
-        values=np.vstack(data),
-        series_ids=tuple(names),
-        time_ids=time_ids,
-        group_ids=tuple(groups) if has_group else None,
-    )
-    return panel, report
+    return Panel._adopt(np.vstack(data), tuple(names), time_ids,
+                        tuple(groups) if has_group else None), report
 
 
 def _as_text(source) -> str:
@@ -426,12 +424,7 @@ def align_and_trim(panel: Panel, codes) -> Panel:
         i, k = bad[0]
         raise TransformError(f"series {panel.series_ids[i]!r} overflows under code {codes[i]} "
                              f"at period {panel.time_ids[k + 2]!r}", index=int(k + 2))
-    return Panel(
-        values=out,
-        series_ids=panel.series_ids,
-        time_ids=panel.time_ids[2:],
-        group_ids=panel.group_ids,
-    )
+    return Panel._adopt(out, panel.series_ids, panel.time_ids[2:], panel.group_ids)
 
 
 def standardize(panel: Panel) -> Panel:
@@ -444,7 +437,8 @@ def standardize(panel: Panel) -> Panel:
     DegenerateSeriesError
         If some series is constant, or its mean or variance overflows, naming it.
     """
-    return panel._derived(_standardized(panel)[0])
+    return Panel._adopt(_standardized(panel)[0], panel.series_ids, panel.time_ids,
+                        panel.group_ids)
 
 
 def _standardized(panel: Panel) -> tuple[np.ndarray, np.ndarray]:

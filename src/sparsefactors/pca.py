@@ -144,6 +144,9 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     return vecs
 
 
+_RESCALE = "rescale the panel, e.g. standardize it"
+
+
 def decompose(panel: Panel) -> SymEig:
     """Eigendecomposition of the smaller panel Gram, ``XX'/(NT)`` when N < T, else ``gram``.
 
@@ -155,19 +158,34 @@ def decompose(panel: Panel) -> SymEig:
     reduction. On either side the small eigenvalues carry absolute roundoff of order
     ``eps * mu_1``, which ``numerical_rank``'s tolerance allows for. With a BLAS that
     is not recognised it is ``eig_sym_desc`` of the same Gram.
+
+    Raises
+    ------
+    InvalidArgumentError
+        If the Gram overflows (an entry is not finite) or underflows (``mu_1`` is below
+        the smallest normal float while X has a nonzero entry), as it does for a
+        unit-scale 60 x 80 panel times 1e153 or 1e-154: such a panel must be rescaled.
+        A zero panel is decomposed, with rank 0.
     """
     x = panel.values
     n, t = x.shape
-    if n >= t:
-        side, g = "T", gram(panel)
-    else:
-        side, g = "N", x @ x.T
-        g /= n * t
-    tri = _blas.tridiagonalize_in_place(_checked(g).T)  # the symmetric g's Fortran view
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        if n >= t:
+            side, g = "T", gram(panel)
+        else:
+            side, g = "N", x @ x.T
+            g /= n * t
+    if not np.isfinite(g).all():  # X is finite, so its Gram overflowed
+        raise InvalidArgumentError(f"the panel's Gram overflows (entries too large): {_RESCALE}")
+    tri = _blas.tridiagonalize_in_place(g.T)  # the symmetric g's Fortran view
     if tri is None:
-        return replace(eig_sym_desc(g), side=side)
-    values = tri.eigenvalues()[::-1].copy()
-    return SymEig(values=values, vectors=None, side=side, tridiagonal=tri)
+        eig = replace(eig_sym_desc(g), side=side)
+    else:
+        values = tri.eigenvalues()[::-1].copy()
+        eig = SymEig(values=values, vectors=None, side=side, tridiagonal=tri)
+    if eig.values[0] < np.finfo(float).tiny and x.any():  # a nonzero X whose Gram underflowed
+        raise InvalidArgumentError(f"the panel's Gram underflows (entries too small): {_RESCALE}")
+    return eig
 
 
 def numerical_rank(panel: Panel, eig: SymEig) -> int:

@@ -81,7 +81,8 @@ def rolling_analysis(
     def one_window(t):
         """(r_hat per method, strengths sorted nonincreasing) of window ``t``."""
         sl = slice(t - window, t)
-        win = panel._derived(panel.values[:, sl], panel.time_ids[sl])
+        win = Panel._adopt(panel.values[:, sl], panel.series_ids, panel.time_ids[sl],
+                           panel.group_ids)
         est = estimate(standardize(win), rmax=rmax, c=c_multiplier)  # est.r is the "wz" count
         r_hats = tuple(
             est.r if m == "wz" else SELECTORS[m](est.panel, rmax=rmax, eig=est.eig).r_hat
@@ -137,7 +138,8 @@ def subperiod_heatmap(
             raise InvalidArgumentError(f"time label not in panel: {exc}") from exc
         if lo > hi:
             raise InvalidArgumentError(f"empty time range {time_range}")
-    sub = panel._derived(panel.values[:, lo : hi + 1], panel.time_ids[lo : hi + 1])
+    sub = Panel._adopt(panel.values[:, lo : hi + 1], panel.series_ids,
+                       panel.time_ids[lo : hi + 1], panel.group_ids)
     est = estimate(standardize(sub), r, rmax=rmax, c=c_multiplier)
     if est.fit is None:
         values = np.zeros((sub.n_series, 0))

@@ -9,6 +9,10 @@ unit-variance Student-t(5) marginals mixed through the blockwise Cholesky
 factor of a block-diagonal covariance: 4 x 4 identity blocks except
 ``floor(N^0.3)`` randomly chosen blocks with Toeplitz ``0.5^|m-n|`` correlation.
 
+The panel is built in one N x T array: the common component ``Lambda0 F0'``, to which
+the errors are added as they are drawn, 64 rows at a time. It is handed to its
+:class:`~sparsefactors.panel.Panel` without a copy, so a raw draw holds one N x T array.
+
 Every draw is a pure function of ``(seed, shape parameters)``: replication i
 derives its generator streams from ``(seed, i, stream_id)``, so it is the same
 on any thread. A batch maps whole replications (draw, estimate, metrics) over a
@@ -195,6 +199,15 @@ def gen_errors(n: int, t: int, seed):
     block; all other rows, the trailing N mod 4 among them, are left unmixed (identity
     blocks). ``seed`` is a tuple of non-negative integers, the entropy of the random stream.
     """
+    e = np.full((n, t), -0.0)  # -0.0 + v is v, bit for bit, for every v
+    return e, _add_errors(e, seed)
+
+
+def _add_errors(x: np.ndarray, seed) -> tuple:
+    """Add ``gen_errors``' N x T errors to ``x`` in place and return their block starts. They
+    are drawn, scaled and mixed 64 rows at a time (a correlated block never straddles two
+    draws), bit for bit the values of one whole draw, and no N x T array of them is held."""
+    n, t = x.shape
     if n < 4:
         raise InvalidArgumentError(f"N must be at least 4, got {n}")
     rng = _rng(seed)
@@ -203,11 +216,14 @@ def gen_errors(n: int, t: int, seed):
     chosen = rng.choice(n_full, size=min(n_corr, n_full), replace=False)
     starts = tuple(4 * b for b in sorted(chosen.tolist()))
     chol = np.linalg.cholesky(toeplitz_block())
-    e = rng.standard_t(5, size=(n, t))  # scaled and mixed in place: no second N x T array
-    e *= math.sqrt(3.0 / 5.0)
-    for s in starts:
-        e[s:s + 4] = chol @ e[s:s + 4]
-    return e, starts
+    for lo in range(0, n, 64):
+        e = rng.standard_t(5, size=(min(64, n - lo), t))
+        e *= math.sqrt(3.0 / 5.0)
+        for s in starts:
+            if lo <= s < lo + 64:
+                e[s - lo : s - lo + 4] = chol @ e[s - lo : s - lo + 4]
+        x[lo : lo + len(e)] += e
+    return starts
 
 
 @lru_cache(maxsize=8)
@@ -234,13 +250,13 @@ def simulate_panel(config: SimConfig, rep: int = 0) -> tuple[Panel, SimTruth]:
         support_mode=config.support_mode,
         ranges=config.contiguous_ranges,
     )
-    x, _ = gen_errors(config.N, config.T, (*base, _STREAM_ERRORS))
-    x += lam0 @ f0.T  # the panel is built in the errors' array; the common component is not kept
-    panel = Panel(values=x, series_ids=_labels("s", config.N), time_ids=_labels("t", config.T))
+    x = lam0 @ f0.T  # the common component, to which the errors are added in place
+    _add_errors(x, (*base, _STREAM_ERRORS))
+    panel = Panel._adopt(x, _labels("s", config.N), _labels("t", config.T))
     scale = np.ones(config.N)
     if config.standardize:
         values, scale = _standardized(panel)
-        panel = panel._derived(values)
+        panel = Panel._adopt(values, panel.series_ids, panel.time_ids)
     truth = SimTruth(F0=f0, Lambda0=lam0, support0=support0, scale=scale,
                      standardized=config.standardize)
     return panel, truth

@@ -1,10 +1,13 @@
+import ast
 import csv
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sparsefactors
 from csv_oracle import reference_ingest_csv
 from sparsefactors import (
     DegenerateSeriesError,
@@ -152,7 +155,10 @@ class TestIngest:
         rng = np.random.default_rng(7)
         names = [f"S{i:03d}" for i in range(248)]
         text = make_csv(names, rng.normal(size=(248, 260)).tolist(), orientation=orientation)
-        assert peak_bytes(lambda: ingest_csv(text, orientation=orientation)) < 2 * len(text)
+        panels = []
+        peak = peak_bytes(lambda: panels.append(ingest_csv(text, orientation=orientation)[0]))
+        assert peak < 2 * len(text)
+        assert peak < 2.5 * panels[0].values.nbytes  # the parsed values and the panel's array
 
     @pytest.mark.parametrize("orientation", ORIENTATIONS)
     def test_matches_the_materializing_reader(self, orientation, fuzz_bytes):
@@ -288,6 +294,12 @@ class TestAlignAndTrim:
         with pytest.raises(ValueError):
             align_and_trim(panel, [1])
 
+    def test_peak_memory_is_the_output_panel(self, peak_bytes):
+        vals = np.random.default_rng(4).normal(size=(248, 260))
+        panel = Panel(vals, [f"s{i}" for i in range(248)], [f"t{j}" for j in range(260)])
+        peak = peak_bytes(lambda: align_and_trim(panel, [1, 2, 3] * 82 + [1, 2]))
+        assert peak < 1.5 * panel.values.nbytes  # the output is handed over, not copied
+
     def test_overflowing_transform_names_the_series(self):
         vals = np.vstack([np.arange(12.0), np.arange(12.0)])
         vals[1, 4:6] = 1e308, -1e308  # the code-2 difference at period 5 is -inf
@@ -419,10 +431,27 @@ class TestPanelInvariants:
     def test_derived_panels_are_read_only_and_keep_the_labels(self):
         panel = Panel(np.arange(12.0).reshape(3, 4), ["a", "b", "c"], ["t0", "t1", "t2", "t3"],
                       group_ids=(np.int64(2), 1, 2))
-        window = panel._derived(panel.values[:, 1:3], panel.time_ids[1:3])
+        window = Panel._adopt(panel.values[:, 1:3], panel.series_ids, panel.time_ids[1:3],
+                              panel.group_ids)
         std = standardize(window)
         for derived in (window, std):
             assert not derived.values.flags.writeable
             assert derived.series_ids == panel.series_ids and derived.group_ids == (2, 1, 2)
             assert derived.time_ids == ("t1", "t2")
+        assert np.shares_memory(window.values, panel.values)  # handed over, not copied
         assert np.array_equal(window.values, panel.values[:, 1:3])
+
+    def test_the_package_builds_no_panel_through_the_public_constructor(self):
+        """Every panel the package builds takes over its array through ``Panel._adopt``: no
+        module calls ``Panel(...)``, which copies and rechecks, and ``_derived`` is gone."""
+        package = Path(sparsefactors.__file__).parent
+        offenders = []
+        for path in sorted(package.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call) and "Panel" in (
+                        getattr(node.func, "attr", None), getattr(node.func, "id", None)):
+                    offenders.append(f"{path.name}:{node.lineno} calls Panel(...)")
+                if "_derived" in (getattr(node, "attr", None), getattr(node, "id", None),
+                                  getattr(node, "name", None)):
+                    offenders.append(f"{path.name}:{node.lineno} names _derived")
+        assert not offenders

@@ -75,7 +75,8 @@ class TestGram:
         x = np.random.default_rng(n).normal(size=(n, 3 * t))
         panel = {"C": lambda: panel_of(x[:, :t]),
                  "F": lambda: panel_of(np.asfortranarray(x[:, :t])),
-                 "column slice": lambda: panel_of(x)._derived(x[:, t : 2 * t], tuple(range(t))),
+                 "column slice": lambda: Panel._adopt(x[:, t : 2 * t], tuple(range(n)),
+                                                      tuple(range(t))),
                  "strided": lambda: panel_of(x[:, ::3])}[layout]()
         reduced, real = [], _blas.tridiagonalize_in_place
 
@@ -383,8 +384,7 @@ class TestSpectrumFirstRoute:
     def test_nonfinite_gram_rejected(self):
         for n, t in [(self.M, self.M), (30, 20)]:  # the check runs at every T-side m
             panel = panel_of(np.full((n, t), 1e300))
-            with np.errstate(over="ignore"), pytest.raises(InvalidArgumentError,
-                                                           match="matrix entries must be finite"):
+            with pytest.raises(InvalidArgumentError, match="Gram overflows .*: rescale the panel"):
                 decompose(panel)
 
     @pytest.mark.parametrize("n, t", [(30, 20), (M + 20, M), (20, 30)])
@@ -451,6 +451,25 @@ class TestNumericalRank:
         assert numerical_rank(panel, decompose(panel)) == 0
         with pytest.raises(InvalidArgumentError, match="exceeds the numerical rank 0"):
             pc_fit(panel, 1)
+
+    @pytest.mark.parametrize("route", ["default", "eigh"])
+    def test_gram_out_of_range_is_refused_on_either_route(self, monkeypatch, route):
+        """Scaled by 1e-150 or 1e150 a panel keeps its rank and r-hats; scaled by 1e-170,
+        1e-160 or 1e160 its Gram under- or overflows, and ``decompose`` says so."""
+        if route == "eigh":
+            monkeypatch.setattr(_blas, "_lapack", lambda: None)
+        x = simulate_panel(SimConfig(N=60, T=80, r=3, alpha=(0.9, 0.75, 0.6), seed=5))[0].values
+        selectors = (select_r_svt, select_r_icp1, select_r_ed, select_r_ah)
+
+        def read(scale):
+            panel = panel_of(scale * x)
+            eig = decompose(panel)
+            return numerical_rank(panel, eig), [s(panel, rmax=8, eig=eig).r_hat for s in selectors]
+
+        assert read(1e-150) == read(1e150) == read(1.0)
+        for scale, what in [(1e-170, "underflows"), (1e-160, "underflows"), (1e160, "overflows")]:
+            with pytest.raises(InvalidArgumentError, match=f"Gram {what} .*: rescale the panel"):
+                decompose(panel_of(scale * x))
 
     @pytest.mark.parametrize("n, t", [(6, 400), (400, 6), (12, 12)])
     def test_fit_beyond_rank_rejected_on_either_side(self, n, t):

@@ -144,6 +144,21 @@ class TestSimulatePanel:
             assert s.sum() == support_size(24, cfg.alpha[k])
             assert np.all(truth.Lambda0[~s, k] == 0.0)
 
+    @pytest.mark.parametrize("n, t, seed", [(65, 70, 1), (248, 260, 1), (248, 260, 3), (4, 7, 1)])
+    def test_panel_is_the_whole_errors_plus_the_whole_product(self, n, t, seed):
+        """Errors drawn and added in row blocks give the bits of one whole draw added to one
+        whole product (a product taken in row blocks would not: at 248 x 260 a few entries
+        differ in the last bit)."""
+        cfg = SimConfig(N=n, T=t, r=3, alpha=(0.9, 0.75, 0.6), seed=seed)
+        panel, truth = simulate_panel(cfg, rep=2)
+        errors, _ = gen_errors(n, t, (seed, 2, 2))  # replication 2's error stream
+        assert np.array_equal(panel.values, errors + truth.Lambda0 @ truth.F0.T)
+
+    def test_raw_draw_holds_one_panel(self, peak_bytes):
+        cfg = SimConfig(N=400, T=400, r=3, alpha=(0.9, 0.75, 0.6), seed=3)
+        simulate_panel(cfg)  # the labels are built once per design
+        assert peak_bytes(lambda: simulate_panel(cfg)) < 1.5 * 400 * 400 * 8
+
     def test_standardized_mode_invariants(self):
         cfg = SimConfig(N=32, T=60, r=2, alpha=(0.9, 0.7), seed=6, standardize=True)
         panel, truth = simulate_panel(cfg)
