@@ -38,7 +38,7 @@ import numpy as np
 
 from . import __version__, _blas
 from .errors import InvalidArgumentError, SparseFactorsError
-from .factor_count import DEFAULT_RMAX, diagnostics_json, select_r
+from .factor_count import DEFAULT_RMAX, METHODS, diagnostics_json, select_r
 from .panel import VALID_TCODES, align_and_trim, csv_text, ingest_csv, standardize
 from .pca import export_pc_fit
 from .rolling import heatmap_to_csv, rolling_analysis, rolling_to_csv, subperiod_heatmap
@@ -189,8 +189,9 @@ def _read_tcodes(path, series_ids) -> list:
     reader = csv.reader(io.StringIO(_read_text(path, "tcodes")))
     mapping = {}
     try:
-        for row in reader:
-            if not row or row[0].strip().lower() in ("series", ""):
+        for k, row in enumerate(reader):
+            name = row[0].strip() if row else ""
+            if not name or (k == 0 and name.lower() == "series"):  # a header is the first row only
                 continue
             where = f"tcodes file {path}, row {reader.line_num}"
             if len(row) < 2:
@@ -198,7 +199,7 @@ def _read_tcodes(path, series_ids) -> list:
             code = _convert(int, row[1], f"code in {where}")
             if code not in VALID_TCODES:
                 raise InvalidArgumentError(f"{where}: code {code} is not in 1..7")
-            mapping[row[0].strip()] = code
+            mapping[name] = code
     except csv.Error as exc:
         raise InvalidArgumentError(f"tcodes file {path}, row {reader.line_num}: {exc}") from None
     missing = [s for s in series_ids if s not in mapping]
@@ -367,8 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("select-r", help="estimate the number of factors")
     _add_data_flags(p)
-    p.add_argument("--methods", default="wz,bn,ed,ah",
-                   help="comma-separated subset of wz,bn,ed,ah")
+    p.add_argument("--methods", default=",".join(METHODS),
+                   help="comma-separated subset of " + ",".join(METHODS))
     p.set_defaults(func=_cmd_select_r)
 
     p = sub.add_parser("strengths", help="screened factor strengths of a panel")
@@ -380,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(p)
     p.add_argument("--window", type=int, default=120, help="window length")
     p.add_argument("--methods", default="wz,bn,ed",
-                   help="comma-separated subset of wz,bn,ed,ah")
+                   help="comma-separated subset of " + ",".join(METHODS))
     p.set_defaults(func=_cmd_rolling)
 
     p = sub.add_parser("heatmap", help="censored screened-loading heat map export")

@@ -1,14 +1,17 @@
 """Estimators of the number of factors.
 
 Four rules over a shared eigendecomposition of the panel Gram
-(``pca.decompose``, the smaller of ``X'X/(NT)`` and ``XX'/(NT)``):
+(``pca.decompose``, the smaller of ``X'X/(NT)`` and ``XX'/(NT)``), tagged in ``METHODS``:
 
-* ``select_r_svt`` - singular-value thresholding: count the eigenvalues at or
+* "wz" - singular-value thresholding: count the eigenvalues at or
   above ``sigma2 * N^{-1/2} * sqrt(ln ln N)``.
-* ``select_r_icp1`` - the IC_p1 information criterion.
-* ``select_r_ed`` - Onatski's edge-distribution estimator (iterated OLS wedge
+* "bn" - the IC_p1 information criterion.
+* "ed" - Onatski's edge-distribution estimator (iterated OLS wedge
   on eigenvalue differences, slope doubled).
-* ``select_r_ah`` - Ahn-Horenstein eigenvalue ratio.
+* "ah" - Ahn-Horenstein eigenvalue ratio.
+
+``select_r`` is the one way to an r_hat; ``select_r_svt``, ``select_r_icp1``, ``select_r_ed``
+and ``select_r_ah`` are its one-rule shorthands.
 
 Each rule is a function of the spectrum alone (SVT's and IC_p1's ``V(k)`` are its tail sums,
 ``pca.residual_variances``). One rank rule holds for all four: ``r_hat`` is capped at the
@@ -57,7 +60,7 @@ def check_rmax(methods, rmax: int, n: int, t: int) -> None:
     unknown = [m for m in methods if m not in _RULES]
     if unknown:
         raise InvalidArgumentError(
-            f"unknown factor-count methods {unknown}; choose from {sorted(_RULES)}")
+            f"unknown factor-count methods {unknown}; choose from {sorted(METHODS)}")
     m = min(n, t)
     if not 1 <= rmax <= m:
         raise InvalidArgumentError(f"rmax must be in [1, {m}], got {rmax}")
@@ -122,15 +125,17 @@ def _ah(eig: SymEig, n: int, t: int, rmax: int):
 
 # tag -> (result name, rule of the spectrum returning (r_hat, diagnostics, notes))
 _RULES = {"wz": ("WZ_SVT", _svt), "bn": ("BN_ICP1", _icp1), "ed": ("ED", _ed), "ah": ("AH", _ah)}
+METHODS = tuple(_RULES)  # the rule tags, in the order select_r runs them
 # eigenvalues each rule reads beyond the first rmax: SVT and IC_p1 take V(rmax), the sum of
 # the eigenvalues past rmax (0 by construction when none is left), AH divides by
 # mu_{rmax+1}, ED regresses on the five from rmax + 1 on
 EXTRA_EIGENVALUES = {"wz": 1, "bn": 1, "ed": 5, "ah": 1}
 
 
-def _count(panel: Panel, methods, rmax: int, eig: SymEig | None) -> dict[str, FactorCountResult]:
-    """Check ``rmax`` for every rule in ``methods``, decompose unless ``eig`` is given, and
-    run each rule on the one spectrum under the rank rule of the module."""
+def select_r(panel: Panel, methods, rmax: int = DEFAULT_RMAX,
+             eig: SymEig | None = None) -> dict[str, FactorCountResult]:
+    """Check ``rmax`` for every rule in ``methods``, decompose unless ``eig`` (the panel's
+    own) is given, and run each rule on the one spectrum under the rank rule of the module."""
     n, t = panel.values.shape
     check_rmax(methods, rmax, n, t)
     eig = decompose(panel) if eig is None else eig
@@ -152,12 +157,12 @@ def select_r_svt(panel: Panel, rmax: int = DEFAULT_RMAX, eig: SymEig | None = No
     read off the spectrum. Returns r_hat = 0 when no eigenvalue clears the
     threshold.
     """
-    return _count(panel, ("wz",), rmax, eig)["wz"]
+    return select_r(panel, ("wz",), rmax, eig)["wz"]
 
 
 def select_r_icp1(panel: Panel, rmax: int = DEFAULT_RMAX, eig: SymEig | None = None) -> FactorCountResult:
     """IC_p1: minimize ``ln V(k) + k ((N+T)/NT) ln(NT/(N+T))`` over k = 1..rmax (ln 0 = -inf)."""
-    return _count(panel, ("bn",), rmax, eig)["bn"]
+    return select_r(panel, ("bn",), rmax, eig)["bn"]
 
 
 def select_r_ed(panel: Panel, rmax: int = DEFAULT_RMAX, eig: SymEig | None = None) -> FactorCountResult:
@@ -168,20 +173,12 @@ def select_r_ed(panel: Panel, rmax: int = DEFAULT_RMAX, eig: SymEig | None = Non
     ``(j-1)^{2/3} .. (j+3)^{2/3}``; iteration starts at j = rmax + 1 and
     stops at a fixed point or after 10 rounds (note attached in that case).
     """
-    return _count(panel, ("ed",), rmax, eig)["ed"]
+    return select_r(panel, ("ed",), rmax, eig)["ed"]
 
 
 def select_r_ah(panel: Panel, rmax: int = DEFAULT_RMAX, eig: SymEig | None = None) -> FactorCountResult:
     """Eigenvalue-ratio rule: argmax of ``mu_k / mu_{k+1}`` over k = 1..rmax."""
-    return _count(panel, ("ah",), rmax, eig)["ah"]
-
-
-SELECTORS = {"wz": select_r_svt, "bn": select_r_icp1, "ed": select_r_ed, "ah": select_r_ah}
-
-
-def select_r(panel: Panel, methods, rmax: int = DEFAULT_RMAX) -> dict[str, FactorCountResult]:
-    """Run several selection rules on one shared decomposition."""
-    return _count(panel, methods, rmax, None)
+    return select_r(panel, ("ah",), rmax, eig)["ah"]
 
 
 def diagnostics_json(results: dict[str, FactorCountResult]) -> dict:

@@ -195,8 +195,15 @@ def numerical_rank(panel: Panel, eig: SymEig) -> int:
     eigenvalues of a rank-deficient panel well under this tolerance (at most
     0.023 of it on either side, on random panels of rank 1 to 5 from 6 x 400
     and 400 x 6 up to 100 x 1000 and 1000 x 100); a zero panel has rank 0.
+    A spectrum of another panel's shape, T values on side "T" and N on side "N",
+    is refused: every reader of ``eig`` calls this first.
     """
     n, t = panel.values.shape
+    size = t if eig.side == "T" else n
+    if len(eig.values) != size:
+        raise InvalidArgumentError(
+            f"the spectrum does not belong to this {n} x {t} panel: it has {len(eig.values)} "
+            f"eigenvalues on side {eig.side!r}, where the panel's Gram has {size}")
     tol = max(n, t) * np.finfo(float).eps * eig.values[0]
     return int(np.count_nonzero(eig.values > tol))
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _blas
 from .errors import InvalidArgumentError
-from .factor_count import DEFAULT_RMAX, SELECTORS, check_rmax
+from .factor_count import DEFAULT_RMAX, check_rmax, select_r
 from .panel import Panel, csv_text, standardize
 from .screening import DEFAULT_C, estimate, threshold_value
 
@@ -84,9 +84,7 @@ def rolling_analysis(
         win = Panel._adopt(panel.values[:, sl], panel.series_ids, panel.time_ids[sl],
                            panel.group_ids)
         est = estimate(standardize(win), rmax=rmax, c=c_multiplier)  # est.r is the "wz" count
-        r_hats = tuple(
-            est.r if m == "wz" else SELECTORS[m](est.panel, rmax=rmax, eig=est.eig).r_hat
-            for m in methods)
+        r_hats = tuple(res.r_hat for res in select_r(est.panel, methods, rmax, est.eig).values())
         strengths = () if est.fit is None else tuple(sorted(est.strength.alpha_hat, reverse=True))
         return r_hats, strengths
 

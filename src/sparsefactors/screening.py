@@ -6,7 +6,7 @@ the sparsity pattern (an N x r boolean mask). The count of survivors per factor
 yields the strength estimate ``alpha_k = ln(count_k) / ln(N)``.
 
 ``estimate`` runs the whole chain on one panel: ``threshold_value`` ->
-``decompose`` -> r (given, or ``select_r_svt``) -> ``pc_fit`` -> ``screen``
+``decompose`` -> r (given, or the SVT rule of ``select_r``) -> ``pc_fit`` -> ``screen``
 -> ``strengths``, the last three on first read.
 """
 
@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .factor_count import DEFAULT_RMAX, FactorCountResult, select_r_svt
+from .factor_count import DEFAULT_RMAX, FactorCountResult, select_r
 from .metrics import _overlap
 from .panel import Panel
 from .pca import PcFit, SymEig, decompose, pc_fit
@@ -165,7 +165,7 @@ def estimate(panel: Panel, r: int | None = None, rmax: int = DEFAULT_RMAX,
     """
     threshold = threshold_value(panel.n_series, panel.n_periods, c)
     eig = decompose(panel)
-    selection = None if r is not None else select_r_svt(panel, rmax=rmax, eig=eig)
+    selection = None if r is not None else select_r(panel, ("wz",), rmax, eig)["wz"]
     r = r if selection is None else selection.r_hat
     return Estimate(panel=panel, eig=eig, r=r, selection=selection, threshold=threshold)
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import _blas, metrics as met
 from .errors import InvalidArgumentError
-from .factor_count import DEFAULT_RMAX, SELECTORS, check_rmax
+from .factor_count import DEFAULT_RMAX, METHODS, check_rmax, select_r
 from .panel import Panel, _standardized
 from .screening import DEFAULT_C, estimate, symm_diff_ratio, threshold_value
 
@@ -38,7 +38,7 @@ _STREAM_FACTORS = 0
 _STREAM_LOADINGS = 1
 _STREAM_ERRORS = 2
 
-ALL_TASKS = frozenset(SELECTORS) | {"fit", "sparsity", "rotation"}
+ALL_TASKS = frozenset(METHODS) | {"fit", "sparsity", "rotation"}
 
 
 @dataclass(frozen=True)
@@ -275,9 +275,8 @@ def _replicate(config, tasks, rmax, c, rep) -> met.ReplicationRecord:
 
 def _replicate_inner(config, panel, truth, tasks, rmax, c, rec) -> met.ReplicationRecord:
     est = estimate(panel, config.r, rmax=rmax, c=c)
-    for tag, select in SELECTORS.items():
-        if tag in tasks:
-            rec.r_hat[tag] = select(panel, rmax=rmax, eig=est.eig).r_hat
+    if methods := [m for m in METHODS if m in tasks]:
+        rec.r_hat = {m: res.r_hat for m, res in select_r(panel, methods, rmax, est.eig).items()}
     if not tasks & {"fit", "sparsity", "rotation"}:
         return rec  # est.fit unread: no fit, so r may exceed min(N, T) here
     fit = est.fit
@@ -311,7 +310,7 @@ def run_replications(
     """Run R seeded replications of the requested estimators and aggregate.
 
     ``tasks`` is a subset of :data:`ALL_TASKS`: the factor-count rules of
-    :data:`~sparsefactors.factor_count.SELECTORS` plus "fit", "sparsity" and
+    :data:`~sparsefactors.factor_count.METHODS` plus "fit", "sparsity" and
     "rotation". Replication i always uses streams derived from
     ``(config.seed, i)``, and the whole batch runs with the BLAS on one thread
     (restored afterwards), so the report is identical for any worker count.
@@ -332,10 +331,10 @@ def run_replications(
     unknown = tasks - ALL_TASKS
     if unknown:
         raise InvalidArgumentError(f"unknown tasks {sorted(unknown)}; choose from {sorted(ALL_TASKS)}")
-    if tasks & SELECTORS.keys():
-        check_rmax(tasks & SELECTORS.keys(), rmax, config.N, config.T)
+    if counts := tasks & set(METHODS):
+        check_rmax(counts, rmax, config.N, config.T)
     n_min = min(config.N, config.T)  # the fit reads r factors
-    if tasks - SELECTORS.keys() and config.r > n_min:
+    if tasks - counts and config.r > n_min:
         raise InvalidArgumentError(f"r must be at most min(N, T) = {n_min}, got {config.r}")
     threshold_value(config.N, config.T, c_multiplier)  # a bad c fails before any replication
     replicate = partial(_replicate, config, tasks, rmax, c_multiplier)

@@ -215,6 +215,18 @@ class TestDataCommands:
         assert run_cli(["select-r", "--data", str(data), "--tcodes", str(tcodes),
                         "--rmax", "4", "--out", str(out)]) == 0
 
+    def test_a_series_named_series_gets_its_code(self, tmp_path):
+        """Only the first row of a tcodes file may be its header: a later row whose series is
+        named "Series" is a code, as is every other row."""
+        vals = np.exp(np.random.default_rng(2).normal(size=(20, 40)) * 0.1).cumsum(axis=1) + 1.0
+        names = ["Series"] + [f"s{i}" for i in range(1, 20)]
+        data = tmp_path / "panel.csv"
+        data.write_text(export_csv(Panel(vals, names, [f"t{j}" for j in range(40)])))
+        tcodes = tmp_path / "tcodes.csv"
+        tcodes.write_text("series,code\n" + "".join(f"{name},5\n" for name in names[::-1]))
+        assert run_cli(["select-r", "--data", str(data), "--tcodes", str(tcodes),
+                        "--rmax", "4", "--out", str(tmp_path / "o")]) == 0
+
     def test_missing_data_flag(self, tmp_path, capsys):
         assert run_cli(["select-r", "--out", str(tmp_path / "o")]) == 1
         assert "error:" in capsys.readouterr().err

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +17,8 @@ from sparsefactors import (
     select_r_svt,
 )
 import sparsefactors.factor_count as factor_count
-from sparsefactors.factor_count import EXTRA_EIGENVALUES, SELECTORS, diagnostics_json
-from sparsefactors.pca import SymEig, decompose, numerical_rank
+from sparsefactors.factor_count import EXTRA_EIGENVALUES, METHODS, diagnostics_json
+from sparsefactors.pca import SymEig, decompose, eig_sym_desc, gram, numerical_rank
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -133,8 +135,6 @@ class TestAh:
         assert res.r_hat == 0  # lowest k wins the all-infinite tie, capped at rank(X) = 0
 
     def test_ratios_match_recomputation(self):
-        from sparsefactors.pca import eig_sym_desc, gram
-
         panel = low_rank_panel(40, 45, rank=2, seed=11, noise=1.0)
         res = select_r_ah(panel, rmax=6)
         mu = eig_sym_desc(gram(panel)).values
@@ -195,7 +195,8 @@ def assert_rank_rule(panel, rmax, eig=None):
     rank(X) = q" exactly when q < rmax + EXTRA_EIGENVALUES[method]; returns the results."""
     eig = decompose(panel) if eig is None else eig
     q = numerical_rank(panel, eig)
-    out = {m: select(panel, rmax=rmax, eig=eig) for m, select in SELECTORS.items()}
+    shorthands = (select_r_svt, select_r_icp1, select_r_ed, select_r_ah)
+    out = {m: select(panel, rmax=rmax, eig=eig) for m, select in zip(METHODS, shorthands)}
     for m, res in out.items():
         assert res.r_hat <= q, (m, res.r_hat, q)
         expected = [f"rank-deficient: rank(X) = {q}"] if q < rmax + EXTRA_EIGENVALUES[m] else []
@@ -254,3 +255,46 @@ class TestRankRule:
             panel = low_rank_panel(*shapes[seed % 4], rank=1 + seed % 3, seed=seed)
             res = assert_rank_rule(panel, rmax=8)["ed"]
             assert res.notes == (f"rank-deficient: rank(X) = {1 + seed % 3}",)
+
+
+class TestForeignSpectrum:
+    """A spectrum is read only with the panel it came from: ``numerical_rank``, which every
+    reader of ``eig`` calls first, refuses one of another panel's shape."""
+
+    def test_a_spectrum_of_another_panel_is_refused(self):
+        rng = np.random.default_rng(29)
+        panel = panel_of(rng.normal(size=(50, 60)))
+        assert select_r_svt(panel).r_hat == 0
+        smaller, short = (decompose(panel_of(rng.normal(size=shape))) for shape in [(30, 40), (6, 40)])
+        for run, count in [(lambda: select_r_svt(panel, eig=smaller), 30),
+                           (lambda: select_r_ed(panel, eig=short), 6),
+                           (lambda: pc_fit(panel, 2, eig=smaller), 30)]:
+            with pytest.raises(InvalidArgumentError, match=(
+                    f"spectrum does not belong to this 50 x 60 panel: it has {count} "
+                    "eigenvalues on side 'N', where the panel's Gram has 50")):
+                run()
+
+    @pytest.mark.parametrize("shape", [(50, 60), (60, 50)])
+    def test_either_gram_of_the_panel_is_accepted(self, shape):
+        panel = low_rank_panel(*shape, rank=2, seed=30, noise=0.1)
+        full = eig_sym_desc(gram(panel))  # side "T" with T values, also when N < T
+        r_hats = [{m: res.r_hat for m, res in select_r(panel, METHODS, eig=eig).items()}
+                  for eig in (full, decompose(panel))]
+        assert r_hats[0] == r_hats[1] == {"wz": 2, "bn": 2, "ed": 2, "ah": 2}
+        assert pc_fit(panel, 2, eig=full).r == 2
+
+
+def test_the_package_counts_factors_only_through_select_r():
+    """Every r_hat of the package comes from one ``select_r`` call: no module calls a
+    one-rule ``select_r_*`` shorthand, and no ``SELECTORS`` table of them is back."""
+    package = Path(factor_count.__file__).parent
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                called = getattr(node.func, "attr", None) or getattr(node.func, "id", None) or ""
+                if called.startswith("select_r_"):
+                    offenders.append(f"{path.name}:{node.lineno} calls {called}")
+            if "SELECTORS" in (getattr(node, "attr", None), getattr(node, "id", None)):
+                offenders.append(f"{path.name}:{node.lineno} names SELECTORS")
+    assert not offenders

@@ -4,15 +4,22 @@ Every command of ``make_golden.COMMANDS`` is rerun into ``tmp_path``. Each comma
 the same artifacts, and in each artifact (a JSON document or a CSV table) every integer and
 string leaf must match exactly; a float may differ by roundoff, at most
 ``1e-12 * max(1, |a|, |b|)``. The second case takes the ``eigh`` route, as under a BLAS
-without the LAPACK routines of ``_blas``.
+without the LAPACK routines of ``_blas``. The third reruns the commands in a child process
+on OpenBLAS's Haswell kernels (``OPENBLAS_CORETYPE``), which numpy's bundled OpenBLAS reads
+when it loads.
 """
 
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sparsefactors
 from golden.make_golden import COMMANDS, GOLDEN, artifacts, run_commands
 from sparsefactors import _blas
 
@@ -65,18 +72,47 @@ def _mismatches(want, got, where: str):
         yield f"{where}: {want!r} != {got!r}"
 
 
+def assert_golden(outdir):
+    """Every command's artifacts in ``outdir`` match the golden files to roundoff."""
+    found = []
+    for name in COMMANDS:
+        want, got = GOLDEN / name, outdir / name
+        assert artifacts(got) == artifacts(want), name
+        for file in artifacts(want):
+            found += _mismatches(_document(want / file), _document(got / file), f"{name}/{file}")
+    assert not found, f"{len(found)} mismatches, first: {found[:5]}"
+
+
 @pytest.mark.parametrize("route", ["default", "eigh"])
 def test_cli_outputs_match_the_golden_files(route, tmp_path, monkeypatch):
     if route == "eigh":
         monkeypatch.setattr(_blas, "_lapack", lambda: None)
     run_commands(tmp_path)
-    found = []
-    for name in COMMANDS:
-        want, got = GOLDEN / name, tmp_path / name
-        assert artifacts(got) == artifacts(want), name
-        for file in artifacts(want):
-            found += _mismatches(_document(want / file), _document(got / file), f"{name}/{file}")
-    assert not found, f"{len(found)} mismatches, first: {found[:5]}"
+    assert_golden(tmp_path)
+
+
+_ON_HASWELL = """
+import ctypes, sys
+from pathlib import Path
+from golden.make_golden import run_commands
+from sparsefactors import _blas
+run_commands(Path(sys.argv[1]))
+(corename,) = _blas._bundled("scipy_openblas_get_corename64_")
+corename.restype = ctypes.c_char_p
+print(corename().decode())
+"""
+
+
+@pytest.mark.skipif(_blas.threads() is None, reason="the BLAS is not numpy's bundled OpenBLAS")
+def test_cli_outputs_match_the_golden_files_on_another_openblas_kernel(tmp_path):
+    paths = [str(Path(sparsefactors.__file__).parents[1]), str(Path(__file__).parent)]
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
+           "PYTHONPATH": os.pathsep.join(filter(None, paths + [os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, "-c", _ON_HASWELL, str(tmp_path)], env=env,
+                           capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == ["Haswell"]  # the kernels the commands ran on
+    assert_golden(tmp_path)
 
 
 def test_a_departure_is_reported():
