@@ -2,8 +2,9 @@
 
 numpy wheels ship OpenBLAS as ``numpy.libs/libscipy_openblas*.so``, which
 exports ``scipy_openblas_get_num_threads64_`` and
-``scipy_openblas_set_num_threads64_``. Any other BLAS is not recognised: its
-thread count reads None and :func:`single_threaded` leaves it alone.
+``scipy_openblas_set_num_threads64_``, and ``scipy_openblas_get_corename64_``
+(:func:`core`). Any other BLAS is not recognised: its thread count and core name
+read None and :func:`single_threaded` leaves it alone.
 
 :func:`tridiagonalize_in_place` binds four LAPACK routines of the same library, each
 one ctypes call made without the interpreter lock: ``dsytrd`` reduces a symmetric,
@@ -154,6 +155,18 @@ def threads() -> int | None:
     """The BLAS's current thread count, or None when the library is not recognised."""
     lib = _library()
     return None if lib is None else lib[0]()
+
+
+@cache
+def core() -> str | None:
+    """The name of the kernels OpenBLAS chose when it loaded (e.g. "Haswell", which
+    ``OPENBLAS_CORETYPE`` can force), or None when the library is not recognised."""
+    found = _bundled("scipy_openblas_get_corename64_")
+    if found is None:
+        return None
+    (corename,) = found
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
 
 
 def vendor() -> str:

@@ -12,8 +12,8 @@ floor of two, capped by the usable CPUs and by ``--reps``, so ``--workers 1``
 runs, and records, two threads on a machine with two or more CPUs.
 :func:`run_cli` alone writes them atomically (temp file + rename) together
 with a ``manifest.json`` holding the resolved configuration, the seed
-actually used, package versions, the BLAS vendor and thread count (None
-when the BLAS is not recognised), a batch's ``workers``, and wall time, and
+actually used, package versions, the BLAS vendor, its OpenBLAS core name and thread
+count (None when the BLAS is not recognised), a batch's ``workers``, and wall time, and
 maps the outcome to an exit status: 0 success; 1 for any
 :class:`~sparsefactors.errors.SparseFactorsError`, i.e. a bad file, flag or
 config value (the library raises :class:`InvalidArgumentError` for those),
@@ -73,7 +73,7 @@ def _manifest(subcommand: str, resolved: dict, t0: float, run: dict | None = Non
         "seed": resolved.get("seed"),
         "versions": {"python": sys.version.split()[0], "numpy": np.__version__,
                      "sparsefactors": __version__},
-        "blas": {"vendor": _blas.vendor(),
+        "blas": {"vendor": _blas.vendor(), "core": _blas.core(),
                  "threads": _blas.threads() if run is None else run["blas_threads"]},
         **({} if run is None else {"workers": run["workers"]}),
         "wall_time_s": round(time.monotonic() - t0, 3),
@@ -130,16 +130,27 @@ def _real(value) -> float:
     return float(value)
 
 
-# simulate's options: key -> converter of a flag or config-file value (None: passed on as
-# given, for SimConfig to check). A key given neither as a flag nor in the config file takes
-# its default (see _resolve), so an explicit 0 is kept.
+# simulate's options, each a config-file key and a flag (--burn-in for burn_in): key ->
+# (converter of a flag or config-file value, None to pass it on as given for SimConfig to
+# check; the flag's help, None for a key of the config file only). A key given neither as a
+# flag nor in the config file takes its default (see _resolve), so an explicit 0 is kept.
 _SIMULATE_OPTIONS = {
-    "N": _integer, "T": _integer, "r": _integer,
-    "alpha": lambda v: tuple(_real(a) for a in _items(v)),
-    "seed": _integer, "burn_in": _integer, "support_mode": None, "standardize": None,
-    "contiguous_ranges": lambda v: tuple(tuple(rg) for rg in v),
-    "reps": _integer, "rmax": _integer, "c": _real, "tasks": lambda v: sorted(_items(v)),
-    "workers": _integer,
+    "N": (_integer, "number of series"),
+    "T": (_integer, "number of periods"),
+    "r": (_integer, "number of factors"),
+    "alpha": (lambda v: tuple(_real(a) for a in _items(v)),
+              "comma-separated strengths, e.g. 0.9,0.75,0.6"),
+    "seed": (_integer, "base seed (default: drawn and recorded in the manifest)"),
+    "burn_in": (_integer, "burn-in periods of the factor AR(1)"),
+    "standardize": (None, "standardize each simulated series before estimation"),
+    "contiguous_ranges": (lambda v: tuple(tuple(rg) for rg in v), None),
+    "reps": (_integer, "number of replications"),
+    "rmax": (_integer, "largest factor count the selectors consider"),
+    "c": (_real, "screening threshold multiplier"),
+    "tasks": (lambda v: sorted(_items(v)),
+              "comma-separated subset of " + ",".join(sorted(ALL_TASKS))),
+    "workers": (_integer, "threads that each draw and estimate whole replications; at least 2 "
+                          "are used, at most the usable CPUs and --reps (default 1)"),
 }
 # simulate's keys that are run_replications keywords, with the keyword each one fills
 _RUN_KEYWORDS = {"rmax": "rmax", "c": "c_multiplier", "tasks": "tasks", "workers": "workers"}
@@ -162,7 +173,7 @@ def _resolve(args: argparse.Namespace) -> dict:
                 **{key: run[keyword].default for key, keyword in _RUN_KEYWORDS.items()},
                 "seed": None, "reps": 100}
     resolved = {}
-    for key, convert in _SIMULATE_OPTIONS.items():
+    for key, (convert, _) in _SIMULATE_OPTIONS.items():
         value = getattr(args, key, None)
         if value is None:
             value = file_cfg.get(key)
@@ -199,6 +210,8 @@ def _read_tcodes(path, series_ids) -> list:
             code = _convert(int, row[1], f"code in {where}")
             if code not in VALID_TCODES:
                 raise InvalidArgumentError(f"{where}: code {code} is not in 1..7")
+            if name in mapping:
+                raise InvalidArgumentError(f"{where}: a second code for series {name!r}")
             mapping[name] = code
     except csv.Error as exc:
         raise InvalidArgumentError(f"tcodes file {path}, row {reader.line_num}: {exc}") from None
@@ -283,12 +296,8 @@ def _cmd_select_r(args) -> tuple[dict, dict]:
 def _cmd_strengths(args) -> tuple[dict, dict]:
     panel = _load_panel(args)
     est = estimate(panel, args.r, rmax=args.rmax, c=args.c)
-    if est.fit is None:
-        summary = {"threshold": None, "counts": [], "alpha_hat": [], "labels": [],
-                   "note": "degenerate: no factors detected"}
-    else:
-        summary = sparse_summary(est, args.c)
-    return {"strengths.json": json.dumps(summary, indent=2) + "\n"}, _data_config(args, r=est.r)
+    summary = json.dumps(sparse_summary(est, args.c), indent=2) + "\n"
+    return {"strengths.json": summary}, _data_config(args, r=est.r)
 
 
 def _cmd_rolling(args) -> tuple[dict, dict, dict]:
@@ -343,21 +352,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run seeded Monte Carlo replications")
     p.add_argument("--config", help="JSON config file (flags override it)")
-    p.add_argument("--N", type=int)
-    p.add_argument("--T", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--alpha", help="comma-separated strengths, e.g. 0.9,0.75,0.6")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--burn-in", dest="burn_in", type=int)
-    p.add_argument("--support-mode", dest="support_mode")
-    p.add_argument("--standardize", action="store_const", const=True, default=None)
-    p.add_argument("--reps", type=int)
-    p.add_argument("--rmax", type=int)
-    p.add_argument("--c", type=float)
-    p.add_argument("--tasks", help="comma-separated subset of " + ",".join(sorted(ALL_TASKS)))
-    p.add_argument("--workers", type=int,
-                   help="threads that each draw and estimate whole replications; at least 2 "
-                        "are used, at most the usable CPUs and --reps (default 1)")
+    for key, (_, help_) in _SIMULATE_OPTIONS.items():
+        flag = "--" + key.replace("_", "-")  # a string, converted in _resolve like a config value
+        if key == "standardize":
+            p.add_argument(flag, action="store_const", const=True, help=help_)
+        elif help_ is not None:
+            p.add_argument(flag, help=help_)
     p.add_argument("--out", default=".")
     p.set_defaults(func=_cmd_simulate)
 

@@ -176,7 +176,7 @@ def ingest_csv(source, orientation: str = "series_in_rows") -> tuple[Panel, Drop
     ------
     PanelParseError
         Text that is not UTF-8 or not CSV, an empty file, duplicate series
-        labels, or fewer than 2 time points.
+        or time labels, or fewer than 2 time points.
     """
     if orientation not in ("series_in_rows", "series_in_columns"):
         raise InvalidArgumentError(f"unknown orientation {orientation!r}")
@@ -265,6 +265,9 @@ def _checked_panel(time_ids: tuple, has_group: bool, series) -> tuple[Panel, Dro
     file order, each checked as it arrives."""
     if len(time_ids) < 2:
         raise PanelParseError("fewer than 2 time points", location="header row")
+    if len(set(time_ids)) < len(time_ids):
+        label = next(x for k, x in enumerate(time_ids) if x in time_ids[:k])
+        raise PanelParseError(f"duplicate time label {label!r}", location="header row")
     names, groups, data = [], [], []
     report = DropReport()
     seen = set()

@@ -129,11 +129,10 @@ def subperiod_heatmap(
     if time_range is None:
         lo, hi = 0, panel.n_periods - 1
     else:
-        try:
-            lo = panel.time_ids.index(time_range[0])
-            hi = panel.time_ids.index(time_range[1])
-        except ValueError as exc:
-            raise InvalidArgumentError(f"time label not in panel: {exc}") from exc
+        for label in time_range:
+            if label not in panel.time_ids:
+                raise InvalidArgumentError(f"time label {label!r} not in panel")
+        lo, hi = map(panel.time_ids.index, time_range)
         if lo > hi:
             raise InvalidArgumentError(f"empty time range {time_range}")
     sub = Panel._adopt(panel.values[:, lo : hi + 1], panel.series_ids,

@@ -171,11 +171,11 @@ def estimate(panel: Panel, r: int | None = None, rmax: int = DEFAULT_RMAX,
 
 
 def sparse_summary(est: Estimate, c_multiplier: float) -> dict:
-    """JSON-ready summary of a fitted estimate: threshold, ``c``, counts, strengths, labels."""
-    return {
-        "threshold": est.sparse.threshold,
-        "c_multiplier": c_multiplier,
-        "counts": list(est.sparse.counts),
-        "alpha_hat": list(est.strength.alpha_hat),
-        "labels": list(est.strength.labels),
-    }
+    """JSON-ready summary of an estimate: threshold, ``c``, counts, strengths, labels. When
+    the SVT rule found no factor the lists are empty and a ``note`` says so."""
+    summary = {"threshold": est.threshold, "c_multiplier": c_multiplier}
+    if est.fit is None:
+        return {**summary, "counts": [], "alpha_hat": [], "labels": [],
+                "note": "degenerate: no factors detected"}
+    return {**summary, "counts": list(est.sparse.counts),
+            "alpha_hat": list(est.strength.alpha_hat), "labels": list(est.strength.labels)}

@@ -3,10 +3,10 @@
 The data-generating process: factor 1 is a Gaussian AR(1) with coefficient
 0.5 (initialized at its stationary law and burned in); factor k >= 2 equals
 ``(-0.8)^k`` times factor 1 plus an independent standard normal. Loadings
-are iid N(0,1) on a uniformly random support of exactly ``floor(N^alpha_k)``
-units per factor (an N x r boolean mask), zero elsewhere. Errors have
-unit-variance Student-t(5) marginals mixed through the blockwise Cholesky
-factor of a block-diagonal covariance: 4 x 4 identity blocks except
+are iid N(0,1) on a support of exactly ``floor(N^alpha_k)`` units per factor
+(an N x r boolean mask), uniformly random or given as ``contiguous_ranges``,
+zero elsewhere. Errors have unit-variance Student-t(5) marginals mixed through
+the blockwise Cholesky factor of a block-diagonal covariance: 4 x 4 identity blocks except
 ``floor(N^0.3)`` randomly chosen blocks with Toeplitz ``0.5^|m-n|`` correlation.
 
 The panel is built in one N x T array: the common component ``Lambda0 F0'``, to which
@@ -46,10 +46,9 @@ class SimConfig:
     """Parameters of one simulated design, checked on construction.
 
     ``alpha`` must be nonincreasing with every entry in (0.5, 1]. Supports
-    are uniformly random unless ``support_mode="contiguous"``, in which case
-    ``contiguous_ranges`` gives per-factor (start, stop) index ranges
-    (half-open, 0-based) whose lengths must equal ``floor(N^alpha_k)``.
-    ``seed`` is a non-negative integer.
+    are uniformly random unless ``contiguous_ranges`` gives per-factor
+    (start, stop) index ranges (half-open, 0-based), whose lengths must equal
+    ``floor(N^alpha_k)``. ``seed`` is a non-negative integer.
 
     ``standardize`` controls whether the simulated panel is standardized
     per series before estimation; the default (False) matches the scale on
@@ -62,7 +61,6 @@ class SimConfig:
     alpha: tuple
     seed: int
     burn_in: int = 100
-    support_mode: str = "random"
     contiguous_ranges: tuple | None = None
     standardize: bool = False
 
@@ -84,11 +82,6 @@ class SimConfig:
             raise InvalidArgumentError(f"burn_in must be at least 50, got {self.burn_in}")
         if not isinstance(self.standardize, bool):
             raise InvalidArgumentError(f"standardize must be true or false, got {self.standardize!r}")
-        if self.support_mode not in ("random", "contiguous"):
-            raise InvalidArgumentError(
-                f"support_mode must be 'random' or 'contiguous', got {self.support_mode!r}")
-        if (self.support_mode == "contiguous") != (self.contiguous_ranges is not None):
-            raise InvalidArgumentError("contiguous_ranges must be given exactly when support_mode='contiguous'")
         if self.contiguous_ranges is not None:
             _check_ranges(self.N, self.alpha, self.contiguous_ranges)
 
@@ -159,25 +152,25 @@ def gen_factors(t: int, r: int, seed, burn_in: int = SimConfig.burn_in) -> np.nd
     return out
 
 
-def gen_loadings(n: int, alpha, seed, support_mode: str = SimConfig.support_mode, ranges=None):
+def gen_loadings(n: int, alpha, seed, ranges=None):
     """N x r sparse loading matrix plus its N x r boolean support mask.
 
     Each factor's support has exactly ``floor(N^alpha_k)`` units, chosen
-    uniformly without replacement (independently across factors) or taken
-    verbatim from ``ranges`` in contiguous mode; nonzero entries are iid
-    standard normal. ``seed`` is a tuple of non-negative integers, the
-    entropy of the random stream.
+    uniformly without replacement (independently across factors), or taken
+    verbatim from ``ranges``, one (start, stop) per factor, when it is given;
+    nonzero entries are iid standard normal. ``seed`` is a tuple of
+    non-negative integers, the entropy of the random stream.
     """
     alpha = tuple(float(a) for a in alpha)
     r = len(alpha)
-    if support_mode == "contiguous":
+    if ranges is not None:
         _check_ranges(n, alpha, ranges)
     rng = _rng(seed)
     lam = np.zeros((n, r))
     support = np.zeros((n, r), dtype=bool)
     for k, a in enumerate(alpha):
         m = support_size(n, a)
-        if support_mode == "contiguous":
+        if ranges is not None:
             idx = np.arange(*ranges[k])
         else:
             idx = rng.choice(n, size=m, replace=False)
@@ -243,13 +236,8 @@ def simulate_panel(config: SimConfig, rep: int = 0) -> tuple[Panel, SimTruth]:
     """
     base = (config.seed, rep)
     f0 = gen_factors(config.T, config.r, (*base, _STREAM_FACTORS), config.burn_in)
-    lam0, support0 = gen_loadings(
-        config.N,
-        config.alpha,
-        (*base, _STREAM_LOADINGS),
-        support_mode=config.support_mode,
-        ranges=config.contiguous_ranges,
-    )
+    lam0, support0 = gen_loadings(config.N, config.alpha, (*base, _STREAM_LOADINGS),
+                                  config.contiguous_ranges)
     x = lam0 @ f0.T  # the common component, to which the errors are added in place
     _add_errors(x, (*base, _STREAM_ERRORS))
     panel = Panel._adopt(x, _labels("s", config.N), _labels("t", config.T))

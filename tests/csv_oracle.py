@@ -64,6 +64,9 @@ def reference_ingest_csv(source, orientation="series_in_rows"):
     time_ids = tuple(header[first_data_col:])
     if len(time_ids) < 2:
         raise PanelParseError("fewer than 2 time points", location="header row")
+    for j, label in enumerate(time_ids):
+        if label in time_ids[:j]:
+            raise PanelParseError(f"duplicate time label {label!r}", location="header row")
 
     names, groups, data = [], [], []
     report = DropReport()

@@ -26,6 +26,7 @@ from sparsefactors import (
     simulate_panel,
     standardize,
     subperiod_heatmap,
+    threshold_value,
 )
 from sparsefactors.cli import run_cli
 
@@ -97,7 +98,8 @@ class TestSimulateCommand:
             assert "start_method" not in manifest
             # the count the replications ran on, not the one restored afterwards
             pinned = 1 if _blas.threads() is not None else None
-            assert manifest["blas"] == {"vendor": _blas.vendor(), "threads": pinned}
+            assert manifest["blas"] == {"vendor": _blas.vendor(), "core": _blas.core(),
+                                        "threads": pinned}
         assert manifest["blas"]["threads"] is None
 
     def test_config_file_with_flag_override(self, tmp_path):
@@ -143,6 +145,29 @@ class TestSimulateCommand:
                         "--alpha", "0.7,0.9", "--reps", "1", "--out", str(tmp_path / "x")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_a_flag_and_a_config_value_fail_alike(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps({"N": "x", "T": 36, "r": 1, "alpha": [0.9]}))
+        for argv in (["--N", "x", "--T", "36", "--r", "1", "--alpha", "0.9"], ["--config", str(cfg)]):
+            assert run_cli(["simulate", *argv, "--out", str(tmp_path / "o")]) == 1
+            assert capsys.readouterr().err.startswith("error: invalid value for N: 'x'")
+
+    def test_contiguous_ranges_alone_give_the_supports(self, tmp_path):
+        ranges = [[0, 25], [3, 15]]
+        cfg = {"N": 36, "T": 36, "r": 2, "alpha": [0.9, 0.7], "seed": 4, "reps": 2, "rmax": 4,
+               "contiguous_ranges": ranges}
+        (tmp_path / "sim.json").write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        assert run_cli(["simulate", "--config", str(tmp_path / "sim.json"), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        design = SimConfig(N=36, T=36, r=2, alpha=(0.9, 0.7), seed=4,
+                           contiguous_ranges=((0, 25), (3, 15)))
+        assert report == json.loads(json.dumps(run_replications(design, 2, rmax=4).to_json()))
+        given = np.zeros((36, 2), dtype=bool)
+        given[0:25, 0] = given[3:15, 1] = True
+        for rep in range(2):
+            assert np.array_equal(simulate_panel(design, rep)[1].support0, given)
 
 
 class TestDataCommands:
@@ -265,6 +290,20 @@ class TestStrengthsRecordMultiplier:
                         "--out", str(out)]) == 0
         assert json.loads((out / "strengths.json").read_text())["c_multiplier"] == 1.5
 
+    def test_a_panel_without_factors_keeps_the_shape(self, tmp_path):
+        rng = np.random.default_rng(5)  # pure noise: the SVT rule finds no factor
+        panel = Panel(rng.standard_normal((40, 60)), [f"s{i}" for i in range(40)],
+                      [f"t{j}" for j in range(60)])
+        data = tmp_path / "panel.csv"
+        data.write_text(export_csv(panel))
+        out = tmp_path / "s"
+        assert run_cli(["strengths", "--data", str(data), "--c", "1.5", "--out", str(out)]) == 0
+        payload = json.loads((out / "strengths.json").read_text())
+        assert payload == {"threshold": threshold_value(40, 60, 1.5), "c_multiplier": 1.5,
+                           "counts": [], "alpha_hat": [], "labels": [],
+                           "note": "degenerate: no factors detected"}
+        assert json.loads((out / "manifest.json").read_text())["config"]["r"] == 0
+
 
 SIM = ["simulate", "--N", "36", "--T", "36", "--r", "2", "--alpha", "0.9,0.7",
        "--seed", "1", "--reps", "2", "--rmax", "4"]
@@ -310,7 +349,7 @@ SIM = ["simulate", "--N", "36", "--T", "36", "--r", "2", "--alpha", "0.9,0.7",
         (["simulate", "--config", str(DATA / "config_standardize_string.json")], 1,
          "standardize must be true or false, got 'no'"),
         (["simulate", "--config", str(DATA / "config_support_mode_unknown.json")], 1,
-         "support_mode must be 'random' or 'contiguous', got 'weird'"),
+         "config_support_mode_unknown.json has unknown key(s) 'support_mode'"),
         (["simulate", "--config", str(DATA / "config_range_length.json")], 1,
          "contiguous_ranges[1] must be integers (start, stop) within [0, 36], expected 12 units"),
         (SIM + ["--c", "nan"], 1, "c must be finite, got nan"),
@@ -333,6 +372,10 @@ SIM = ["simulate", "--N", "36", "--T", "36", "--r", "2", "--alpha", "0.9,0.7",
          "invalid value for alpha: [True, 0.7]"),
         (["simulate", "--config", str(DATA / "config_unknown_key.json")], 1,
          "config_unknown_key.json has unknown key(s) 'rmx', 'worker'"),
+        (["heatmap", "--start", "zz", "--end", "t010"], 1, "time label 'zz' not in panel"),
+        (["heatmap", "--start", "t010", "--end", "zz"], 1, "time label 'zz' not in panel"),
+        (["select-r", "--tcodes", str(DATA / "tcodes_second_code.csv")], 1,
+         "tcodes_second_code.csv, row 3: a second code for series 's003'"),
     ],
 )
 def test_explicit_values_are_never_replaced_by_defaults(tmp_path, capsys, argv, code, fragment):
@@ -369,11 +412,13 @@ def test_manifest_records_the_blas(tmp_path, monkeypatch, command):
         manifest = json.loads((out / "manifest.json").read_text())
         if command[0] == "rolling":  # the count the windows ran on, not the one restored
             pinned = 1 if recognised else None
-            assert manifest["blas"] == {"vendor": _blas.vendor(), "threads": pinned}
+            assert manifest["blas"] == {"vendor": _blas.vendor(), "core": _blas.core(),
+                                        "threads": pinned}
             assert 1 <= manifest["workers"] <= (_blas.threads() or 1)
             assert "window_threads" not in manifest
         else:
-            assert manifest["blas"] == {"vendor": _blas.vendor(), "threads": _blas.threads()}
+            assert manifest["blas"] == {"vendor": _blas.vendor(), "core": _blas.core(),
+                                        "threads": _blas.threads()}
             assert "workers" not in manifest
     assert manifest["blas"]["threads"] is None
 
@@ -430,7 +475,7 @@ def test_every_csv_table_reads_back_with_its_labels():
 
     @hypothesis.settings(max_examples=25, deadline=None, database=None)
     @hypothesis.given(st.lists(label, min_size=n, max_size=n, unique=True),
-                      st.lists(label, min_size=t, max_size=t))
+                      st.lists(label, min_size=t, max_size=t, unique=True))
     def check(names, times):
         values = np.random.default_rng(7).normal(size=(n, t))
         panel = Panel(values, names, times, group_ids=tuple(range(1, n + 1)))

@@ -92,14 +92,12 @@ def test_cli_outputs_match_the_golden_files(route, tmp_path, monkeypatch):
 
 
 _ON_HASWELL = """
-import ctypes, sys
+import sys
 from pathlib import Path
 from golden.make_golden import run_commands
 from sparsefactors import _blas
 run_commands(Path(sys.argv[1]))
-(corename,) = _blas._bundled("scipy_openblas_get_corename64_")
-corename.restype = ctypes.c_char_p
-print(corename().decode())
+print(_blas.core())
 """
 
 

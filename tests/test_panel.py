@@ -99,6 +99,12 @@ class TestIngest:
                 ingest_csv(text, orientation=orientation)
             assert exc.value.location == "row 3"
 
+    def test_duplicate_time_label_raises(self):
+        for text, orientation in layouts(["a", "b"], [[1.0, 2.0, 3.0], [4.0, 5.0, 7.0]],
+                                         time_ids=["t1", "t1", "t2"]):
+            with pytest.raises(PanelParseError, match="duplicate time label 't1'"):
+                ingest_csv(text, orientation=orientation)
+
     def test_empty_file_raises(self):
         with pytest.raises(PanelParseError, match="empty"):
             ingest_csv("")
@@ -190,7 +196,7 @@ class TestIngest:
         def check(data):
             n, t = data.draw(st.integers(1, 5)), data.draw(st.integers(2, 6))
             names = data.draw(st.lists(label, min_size=n, max_size=n, unique=True))
-            times = data.draw(st.lists(label, min_size=t, max_size=t))
+            times = data.draw(st.lists(label, min_size=t, max_size=t, unique=True))
             vals = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                                       min_size=n * t, max_size=n * t))
             panel = Panel(np.reshape(vals, (n, t)), names, times)

@@ -67,16 +67,13 @@ class TestGenLoadings:
         assert np.all(lam[:, 0] != 0)
 
     def test_contiguous_ranges_used_verbatim(self):
-        lam, sup = gen_loadings(
-            200, (0.9, 0.7), (9, 1), support_mode="contiguous",
-            ranges=((0, 117), (96, 136)),
-        )
+        lam, sup = gen_loadings(200, (0.9, 0.7), (9, 1), ranges=((0, 117), (96, 136)))
         assert np.array_equal(np.nonzero(sup[:, 0])[0], np.arange(0, 117))
         assert np.array_equal(np.nonzero(sup[:, 1])[0], np.arange(96, 136))
 
     def test_contiguous_size_mismatch_rejected(self):
         with pytest.raises(ValueError, match="expected"):
-            gen_loadings(200, (0.9,), (10, 1), support_mode="contiguous", ranges=((0, 100),))
+            gen_loadings(200, (0.9,), (10, 1), ranges=((0, 100),))
 
     def test_nonzero_entries_are_standard_normal(self):
         vals = []
@@ -398,25 +395,29 @@ class TestSimConfigValidation:
         with pytest.raises(ValueError, match="0.5"):
             SimConfig(N=40, T=40, r=1, alpha=(0.4,), seed=0)
 
-    def test_contiguous_requires_ranges(self):
-        with pytest.raises(ValueError, match="contiguous"):
-            SimConfig(N=40, T=40, r=1, alpha=(0.9,), seed=0, support_mode="contiguous")
+    def test_ranges_alone_make_a_contiguous_design(self):
+        ranges = ((0, 27), (5, 18))
+        cfg = SimConfig(N=40, T=30, r=2, alpha=(0.9, 0.7), seed=12, contiguous_ranges=ranges)
+        for rep in range(3):
+            _, truth = simulate_panel(cfg, rep)
+            for k, (start, stop) in enumerate(ranges):
+                assert np.array_equal(np.nonzero(truth.support0[:, k])[0], np.arange(start, stop))
 
     def test_survives_pickle(self):
         # a config is plain frozen data: it round-trips through pickle
         cfg = SimConfig(N=40, T=30, r=2, alpha=(0.9, 0.7), seed=12,
-                        support_mode="contiguous", contiguous_ranges=((0, 27), (5, 18)))
+                        contiguous_ranges=((0, 27), (5, 18)))
         assert pickle.loads(pickle.dumps(cfg)) == cfg
 
     @pytest.mark.parametrize("kwargs, fragment", [
         ({"seed": -1}, "seed must be non-negative"),
         ({"r": 0, "alpha": ()}, "r must be positive"),
-        ({"support_mode": "weird"}, "support_mode must be"),
+        ({"burn_in": 49}, "burn_in must be at least 50, got 49"),
         ({"standardize": "no"}, "standardize must be true or false"),
-        ({"support_mode": "contiguous", "contiguous_ranges": ((0, 27),)}, "1 entries for 2"),
-        ({"support_mode": "contiguous", "contiguous_ranges": ((0, 27), (5, 17))}, "expected 13"),
-        ({"support_mode": "contiguous", "contiguous_ranges": ((0, 27), (30, 43))}, "within [0, 40]"),
-        ({"support_mode": "contiguous", "contiguous_ranges": ((0, 27), (5.0, 18.0))}, "integers"),
+        ({"contiguous_ranges": ((0, 27),)}, "1 entries for 2"),
+        ({"contiguous_ranges": ((0, 27), (5, 17))}, "expected 13"),
+        ({"contiguous_ranges": ((0, 27), (30, 43))}, "within [0, 40]"),
+        ({"contiguous_ranges": ((0, 27), (5.0, 18.0))}, "integers"),
     ])
     def test_bad_design_rejected(self, kwargs, fragment):
         base = {"N": 40, "T": 30, "r": 2, "alpha": (0.9, 0.7), "seed": 0}
@@ -443,7 +444,7 @@ class TestContiguousRotationScenario:
         for rep in range(40):
             cfg = SimConfig(
                 N=200, T=200, r=2, alpha=(0.9, 0.7), seed=161 + rep,
-                support_mode="contiguous", contiguous_ranges=((0, 117), (96, 136)),
+                contiguous_ranges=((0, 117), (96, 136)),
             )
             panel, truth = simulate_panel(cfg)
             fit = pc_fit(panel, 2)
