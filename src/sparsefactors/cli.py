@@ -39,7 +39,7 @@ import numpy as np
 from . import __version__, _blas
 from .errors import InvalidArgumentError, SparseFactorsError
 from .factor_count import DEFAULT_RMAX, METHODS, diagnostics_json, select_r
-from .panel import VALID_TCODES, align_and_trim, csv_text, ingest_csv, standardize
+from .panel import ORIENTATIONS, VALID_TCODES, align_and_trim, csv_text, ingest_csv, standardize
 from .pca import export_pc_fit
 from .rolling import heatmap_to_csv, rolling_analysis, rolling_to_csv, subperiod_heatmap
 from .screening import DEFAULT_C, estimate, sparse_summary
@@ -130,10 +130,9 @@ def _real(value) -> float:
     return float(value)
 
 
-# simulate's options, each a config-file key and a flag (--burn-in for burn_in): key ->
-# (converter of a flag or config-file value, None to pass it on as given for SimConfig to
-# check; the flag's help, None for a key of the config file only). A key given neither as a
-# flag nor in the config file takes its default (see _resolve), so an explicit 0 is kept.
+# simulate's options, each a config-file key and a flag of that name: key -> (converter of a
+# flag or config value, None to pass it on for SimConfig to check; the flag's help, None for a
+# config-file-only key). A key given neither as a flag nor in the config file takes its default.
 _SIMULATE_OPTIONS = {
     "N": (_integer, "number of series"),
     "T": (_integer, "number of periods"),
@@ -141,7 +140,6 @@ _SIMULATE_OPTIONS = {
     "alpha": (lambda v: tuple(_real(a) for a in _items(v)),
               "comma-separated strengths, e.g. 0.9,0.75,0.6"),
     "seed": (_integer, "base seed (default: drawn and recorded in the manifest)"),
-    "burn_in": (_integer, "burn-in periods of the factor AR(1)"),
     "standardize": (None, "standardize each simulated series before estimation"),
     "contiguous_ranges": (lambda v: tuple(tuple(rg) for rg in v), None),
     "reps": (_integer, "number of replications"),
@@ -156,6 +154,11 @@ _SIMULATE_OPTIONS = {
 _RUN_KEYWORDS = {"rmax": "rmax", "c": "c_multiplier", "tasks": "tasks", "workers": "workers"}
 
 
+def _default(func, name: str):
+    """The default of ``func``'s parameter ``name``: the CLI's default is the library's."""
+    return inspect.signature(func).parameters[name].default
+
+
 def _resolve(args: argparse.Namespace) -> dict:
     """Merge config-file values with flags (flags win), fill in defaults and convert each value.
     A config-file key that names no option is refused.
@@ -168,9 +171,8 @@ def _resolve(args: argparse.Namespace) -> dict:
     if unknown:
         raise InvalidArgumentError(f"config file {args.config} has unknown key(s) "
                                    + ", ".join(map(repr, unknown)))
-    run = inspect.signature(run_replications).parameters
     defaults = {**{f.name: f.default for f in fields(SimConfig) if f.default is not MISSING},
-                **{key: run[keyword].default for key, keyword in _RUN_KEYWORDS.items()},
+                **{key: _default(run_replications, kw) for key, kw in _RUN_KEYWORDS.items()},
                 "seed": None, "reps": 100}
     resolved = {}
     for key, (convert, _) in _SIMULATE_OPTIONS.items():
@@ -333,8 +335,8 @@ def _data_config(args, **own) -> dict:
 
 def _add_data_flags(p) -> None:
     p.add_argument("--data", required=True, help="panel CSV path")
-    p.add_argument("--orientation", default="series_in_rows",
-                   choices=["series_in_rows", "series_in_columns"])
+    p.add_argument("--orientation", default=_default(ingest_csv, "orientation"),
+                   help="one of " + ", ".join(ORIENTATIONS))
     p.add_argument("--tcodes", help="optional CSV of series,transform-code pairs")
     p.add_argument("--rmax", type=int, default=DEFAULT_RMAX)
     p.add_argument("--c", type=float, default=DEFAULT_C, help="screening threshold multiplier")
@@ -352,12 +354,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run seeded Monte Carlo replications")
     p.add_argument("--config", help="JSON config file (flags override it)")
-    for key, (_, help_) in _SIMULATE_OPTIONS.items():
-        flag = "--" + key.replace("_", "-")  # a string, converted in _resolve like a config value
+    for key, (_, help_) in _SIMULATE_OPTIONS.items():  # a flag is a string, converted in _resolve
         if key == "standardize":
-            p.add_argument(flag, action="store_const", const=True, help=help_)
+            p.add_argument("--standardize", action="store_const", const=True, help=help_)
         elif help_ is not None:
-            p.add_argument(flag, help=help_)
+            p.add_argument("--" + key, help=help_)
     p.add_argument("--out", default=".")
     p.set_defaults(func=_cmd_simulate)
 
@@ -379,8 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rolling", help="rolling-window factor counts and strengths")
     _add_data_flags(p)
-    p.add_argument("--window", type=int, default=120, help="window length")
-    p.add_argument("--methods", default="wz,bn,ed",
+    p.add_argument("--window", type=int, default=_default(rolling_analysis, "window"),
+                   help="window length")
+    p.add_argument("--methods", default=",".join(_default(rolling_analysis, "methods")),
                    help="comma-separated subset of " + ",".join(METHODS))
     p.set_defaults(func=_cmd_rolling)
 

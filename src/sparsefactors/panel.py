@@ -39,6 +39,7 @@ from .errors import (
 )
 
 VALID_TCODES = (1, 2, 3, 4, 5, 6, 7)
+ORIENTATIONS = ("series_in_rows", "series_in_columns")
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -77,9 +78,9 @@ class Panel:
         ``standardize``, ``simulate_panel``, rolling windows and heat-map subperiods) is
         handed the array it built and checked there, made read-only, with no copy.
     series_ids : tuple of str
-        N series names.
+        N distinct series names; a repeated name is refused, as ingestion refuses it.
     time_ids : tuple of str
-        T time labels.
+        T distinct time labels; a repeated label is refused, as ingestion refuses it.
     group_ids : tuple of int, optional
         Small integer group id per series (1-13 in the FRED-QD use case).
     """
@@ -105,6 +106,10 @@ class Panel:
             raise InvalidArgumentError(f"{len(self.time_ids)} time labels for {t} columns")
         if self.group_ids is not None and len(self.group_ids) != n:
             raise InvalidArgumentError(f"{len(self.group_ids)} group ids for {n} rows")
+        for what, labels in (("series", self.series_ids), ("time label", self.time_ids)):
+            if len(set(labels)) < len(labels):  # ingestion's message for the same fault
+                label = next(x for k, x in enumerate(labels) if x in labels[:k])
+                raise InvalidArgumentError(f"duplicate {what} {label!r}")
         if not np.all(np.isfinite(self.values)):
             raise InvalidArgumentError("Panel values must be finite (no missing entries)")
 
@@ -159,12 +164,12 @@ def ingest_csv(source, orientation: str = "series_in_rows") -> tuple[Panel, Drop
 
     Parameters
     ----------
-    source : bytes, str, file-like, or path-like
-        CSV content. First row holds time labels and first column series
-        names when ``orientation="series_in_rows"``; transposed layout with
-        ``"series_in_columns"``. An optional second column named ``group``
-        carries integer group ids.
-    orientation : {"series_in_rows", "series_in_columns"}
+    source : bytes, str, or file-like; any other kind (a path among them) is refused
+        UTF-8 bytes, text, or an object whose ``read()`` returns either. The first
+        row holds time labels and the first column series names when
+        ``orientation="series_in_rows"``; transposed with ``"series_in_columns"``.
+        An optional second column named ``group`` carries integer group ids.
+    orientation : "series_in_rows" or "series_in_columns" (``ORIENTATIONS``); no other
 
     Returns
     -------
@@ -178,8 +183,8 @@ def ingest_csv(source, orientation: str = "series_in_rows") -> tuple[Panel, Drop
         Text that is not UTF-8 or not CSV, an empty file, duplicate series
         or time labels, or fewer than 2 time points.
     """
-    if orientation not in ("series_in_rows", "series_in_columns"):
-        raise InvalidArgumentError(f"unknown orientation {orientation!r}")
+    if orientation not in ORIENTATIONS:
+        raise InvalidArgumentError(f"unknown orientation {orientation!r}, not in {ORIENTATIONS}")
     rows = _csv_rows(_as_text(source))
     header = next(rows, None)
     if header is None:
@@ -302,13 +307,11 @@ def _checked_panel(time_ids: tuple, has_group: bool, series) -> tuple[Panel, Dro
 
 
 def _as_text(source) -> str:
-    if hasattr(source, "read"):
-        source = source.read()
-    elif not isinstance(source, (bytes, str)):
-        with open(source, "rb") as fh:
-            source = fh.read()
+    source = source.read() if hasattr(source, "read") else source
     if isinstance(source, str):
         return source
+    if not isinstance(source, bytes):
+        raise InvalidArgumentError(f"source {type(source).__name__} is not str, bytes or file-like")
     try:
         return source.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -1,7 +1,7 @@
 """Synthetic weak-factor panels and the seeded replication harness.
 
 The data-generating process: factor 1 is a Gaussian AR(1) with coefficient
-0.5 (initialized at its stationary law and burned in); factor k >= 2 equals
+0.5 (initialized at its stationary law and burned in for 100 periods); factor k >= 2 equals
 ``(-0.8)^k`` times factor 1 plus an independent standard normal. Loadings
 are iid N(0,1) on a support of exactly ``floor(N^alpha_k)`` units per factor
 (an N x r boolean mask), uniformly random or given as ``contiguous_ranges``,
@@ -37,6 +37,7 @@ from .screening import DEFAULT_C, estimate, symm_diff_ratio, threshold_value
 _STREAM_FACTORS = 0
 _STREAM_LOADINGS = 1
 _STREAM_ERRORS = 2
+_BURN_IN = 100  # periods of factor 1's AR(1) drawn and discarded before the T kept
 
 ALL_TASKS = frozenset(METHODS) | {"fit", "sparsity", "rotation"}
 
@@ -60,7 +61,6 @@ class SimConfig:
     r: int
     alpha: tuple
     seed: int
-    burn_in: int = 100
     contiguous_ranges: tuple | None = None
     standardize: bool = False
 
@@ -78,8 +78,6 @@ class SimConfig:
             raise InvalidArgumentError("every alpha must lie in (0.5, 1]")
         if self.seed < 0:
             raise InvalidArgumentError(f"seed must be non-negative, got {self.seed}")
-        if self.burn_in < 50:
-            raise InvalidArgumentError(f"burn_in must be at least 50, got {self.burn_in}")
         if not isinstance(self.standardize, bool):
             raise InvalidArgumentError(f"standardize must be true or false, got {self.standardize!r}")
         if self.contiguous_ranges is not None:
@@ -132,21 +130,18 @@ def _check_ranges(n: int, alpha, ranges) -> None:
                                        f"within [0, {n}], expected {m} units, got {rg}")
 
 
-def gen_factors(t: int, r: int, seed, burn_in: int = SimConfig.burn_in) -> np.ndarray:
+def gen_factors(t: int, r: int, seed) -> np.ndarray:
     """T x r factor paths: AR(1) leader plus correlated followers.
 
     ``seed`` is a tuple of non-negative integers, the entropy of the random stream.
     """
-    if burn_in < 50:
-        raise InvalidArgumentError(f"burn_in must be at least 50, got {burn_in}")
     rng = _rng(seed)
-    total = burn_in + t
-    innov = rng.standard_normal(total)
+    innov = rng.standard_normal(_BURN_IN + t)
     f1 = [rng.normal(0.0, math.sqrt(4.0 / 3.0))]  # stationary start, var 1/(1-0.25)
     for v in innov[1:].tolist():  # Python floats: the same arithmetic without numpy's scalar overhead
         f1.append(0.5 * f1[-1] + v)
     out = np.empty((t, r))
-    out[:, 0] = f1[burn_in:]
+    out[:, 0] = f1[_BURN_IN:]
     for k in range(2, r + 1):
         out[:, k - 1] = (-0.8) ** k * out[:, 0] + rng.standard_normal(t)
     return out
@@ -179,9 +174,9 @@ def gen_loadings(n: int, alpha, seed, ranges=None):
     return lam, support
 
 
-def toeplitz_block(size: int = 4, rho: float = 0.5) -> np.ndarray:
-    idx = np.arange(size)
-    return rho ** np.abs(idx[:, None] - idx[None, :])
+def toeplitz_block() -> np.ndarray:
+    idx = np.arange(4)
+    return 0.5 ** np.abs(idx[:, None] - idx[None, :])
 
 
 def gen_errors(n: int, t: int, seed):
@@ -235,7 +230,7 @@ def simulate_panel(config: SimConfig, rep: int = 0) -> tuple[Panel, SimTruth]:
     same panel bit-for-bit.
     """
     base = (config.seed, rep)
-    f0 = gen_factors(config.T, config.r, (*base, _STREAM_FACTORS), config.burn_in)
+    f0 = gen_factors(config.T, config.r, (*base, _STREAM_FACTORS))
     lam0, support0 = gen_loadings(config.N, config.alpha, (*base, _STREAM_LOADINGS),
                                   config.contiguous_ranges)
     x = lam0 @ f0.T  # the common component, to which the errors are added in place

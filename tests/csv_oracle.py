@@ -25,13 +25,11 @@ def _parse_cell(text):
 
 
 def _as_text(source):
-    if hasattr(source, "read"):
-        source = source.read()
-    elif not isinstance(source, (bytes, str)):
-        with open(source, "rb") as fh:
-            source = fh.read()
+    source = source.read() if hasattr(source, "read") else source
     if isinstance(source, str):
         return source
+    if not isinstance(source, bytes):
+        raise InvalidArgumentError(f"source {type(source).__name__} is not str, bytes or file-like")
     try:
         return source.decode("utf-8")
     except UnicodeDecodeError as exc:

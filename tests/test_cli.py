@@ -131,6 +131,14 @@ class TestSimulateCommand:
                         reps=100)
         assert set(config) == set(expected) | {"N", "T", "r", "alpha", "seed"}
         assert {key: config[key] for key in expected} == expected
+        # rolling's window and methods, and the orientation, are the library's too
+        data = write_panel_csv(tmp_path / "panel.csv", t=125)
+        assert run_cli(["rolling", "--data", str(data), "--out", str(tmp_path / "r")]) == 0
+        config = json.loads((tmp_path / "r" / "manifest.json").read_text())["config"]
+        rolling = inspect.signature(rolling_analysis).parameters
+        assert config["window"] == rolling["window"].default
+        assert config["methods"] == list(rolling["methods"].default)
+        assert config["orientation"] == inspect.signature(ingest_csv).parameters["orientation"].default
 
     def test_real_flags_are_accepted(self, tmp_path):
         out = tmp_path / "o"
@@ -290,7 +298,7 @@ class TestStrengthsRecordMultiplier:
                         "--out", str(out)]) == 0
         assert json.loads((out / "strengths.json").read_text())["c_multiplier"] == 1.5
 
-    def test_a_panel_without_factors_keeps_the_shape(self, tmp_path):
+    def test_a_panel_without_factors_keeps_the_shape(self, tmp_path, capsys):
         rng = np.random.default_rng(5)  # pure noise: the SVT rule finds no factor
         panel = Panel(rng.standard_normal((40, 60)), [f"s{i}" for i in range(40)],
                       [f"t{j}" for j in range(60)])
@@ -303,6 +311,9 @@ class TestStrengthsRecordMultiplier:
                            "counts": [], "alpha_hat": [], "labels": [],
                            "note": "degenerate: no factors detected"}
         assert json.loads((out / "manifest.json").read_text())["config"]["r"] == 0
+        assert run_cli(["estimate", "--data", str(data), "--out", str(tmp_path / "e")]) == 1
+        assert "error: SVT rule detected no factors; pass --r" in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
 
 
 SIM = ["simulate", "--N", "36", "--T", "36", "--r", "2", "--alpha", "0.9,0.7",
@@ -317,7 +328,8 @@ SIM = ["simulate", "--N", "36", "--T", "36", "--r", "2", "--alpha", "0.9,0.7",
         (SIM + ["--c", "0"], 1, "c must be positive, got 0"),
         (SIM + ["--c", "-1"], 1, "c must be positive, got -1"),
         (SIM + ["--workers", "0"], 1, "workers must be positive, got 0"),
-        (SIM + ["--burn-in", "0"], 1, "burn_in must be at least 50, got 0"),
+        (["simulate", "--config", str(DATA / "config_burn_in_unknown.json")], 1,
+         "config_burn_in_unknown.json has unknown key(s) 'burn_in'"),
         (["estimate", "--rmax", "60"], 1, "rmax must be in [1, 40], got 60"),
         (["estimate", "--rmax", "0"], 1, "rmax must be in [1, 40], got 0"),
         (["estimate", "--r", "0"], 1, "r must be in [1, 40], got 0"),
@@ -376,6 +388,14 @@ SIM = ["simulate", "--N", "36", "--T", "36", "--r", "2", "--alpha", "0.9,0.7",
         (["heatmap", "--start", "t010", "--end", "zz"], 1, "time label 'zz' not in panel"),
         (["select-r", "--tcodes", str(DATA / "tcodes_second_code.csv")], 1,
          "tcodes_second_code.csv, row 3: a second code for series 's003'"),
+        (["heatmap", "--start", "t010"], 1, "--start and --end must be given together"),
+        (["heatmap", "--start", "t020", "--end", "t010"], 1,
+         "empty time range ('t020', 't010')"),
+        (["simulate", "--T", "36", "--r", "1", "--alpha", "0.9"], 1,
+         "simulate requires N (flag or config file)"),
+        (["simulate", "--config", str(DATA / "config_not_json.json")], 1,
+         "config_not_json.json is not valid JSON: Expecting property name"),
+        (["select-r", "--orientation", "sideways"], 1, "unknown orientation 'sideways'"),
     ],
 )
 def test_explicit_values_are_never_replaced_by_defaults(tmp_path, capsys, argv, code, fragment):

@@ -118,6 +118,19 @@ class TestEd:
         with pytest.raises(ValueError):
             select_r_ed(panel_of(np.random.default_rng(1).normal(size=(10, 10))), rmax=8)
 
+    def test_a_cycling_iteration_returns_its_last_candidate_with_a_note(self):
+        # a spectrum on which the candidates alternate 0, 5, 0, 5, ... and never settle
+        spectrum = [3.2515, 3.2212, 3.1361, 2.8545, 2.4479, 1.7271, 1.6708, 1.3147, 1.0648,
+                    0.9178, 0.7814, 0.5095, 0.4495, 0.3784, 0.3186, 0.2732, 0.2638, 0.1169,
+                    0.1071, 0.0773]
+        panel = panel_of(np.random.default_rng(2).normal(size=(20, 30)))
+        eig = SymEig(values=np.array(spectrum), vectors=None, side="N", tridiagonal=None)
+        res = select_r(panel, ("ed",), 6, eig)["ed"]
+        assert res.notes == ("max-iterations: returned last candidate",)
+        iterations = [row for row in res.diagnostics if row[0] == "iter"]
+        assert [row[2] for row in iterations] == [0.0, 5.0] * 5
+        assert res.r_hat == 5
+
 
 class TestAh:
     def test_rank_two_with_jitter(self):

@@ -2,6 +2,7 @@ import ast
 import csv
 import io
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -155,6 +156,12 @@ class TestIngest:
         panel, _ = ingest_csv(io.BytesIO(text.encode()))
         assert panel.n_series == 2
 
+    @pytest.mark.parametrize("source", [Path("missing.csv"), 7.5, ["series,t0,t1"]])
+    def test_any_other_source_is_an_invalid_argument(self, source):
+        # a path is no source: the caller reads the file and reports its own errors
+        kind = type(source).__name__
+        with pytest.raises(InvalidArgumentError, match=f"source {kind} is not str, bytes or file-like"):
+            ingest_csv(source)
     @pytest.mark.parametrize("orientation", ORIENTATIONS)
     def test_peak_memory_stays_near_the_text_size(self, orientation, peak_bytes):
         # a FRED-QD-sized file: no per-cell strings may outlive their row
@@ -389,6 +396,17 @@ class TestPanelInvariants:
             Panel(np.zeros((2, 3)), ["a"], ["t0", "t1", "t2"])
         with pytest.raises(ValueError):
             Panel(np.zeros((2, 3)), ["a", "b"], ["t0", "t1"])
+
+    @pytest.mark.parametrize("series, times, fragment", [
+        (["a", "a"], ["t1", "t2", "t3"], "duplicate series 'a'"),
+        (["a", "b"], ["t1", "t2", "t1"], "duplicate time label 't1'"),
+        (["a", "a"], ["t1", "t1", "t2"], "duplicate series 'a'"),  # the names come first
+        (["a", "b", "b", "a"], ["t1", "t2"], "duplicate series 'b'"),  # the first repeat
+    ])
+    def test_repeated_labels_rejected(self, series, times, fragment):
+        # export_csv's output of such a panel would not read back: ingest_csv refuses repeats
+        with pytest.raises(InvalidArgumentError, match=re.escape(fragment)):
+            Panel(np.zeros((len(series), len(times))), series, times)
 
     @pytest.mark.parametrize("group", [1.5, True, "3"])
     def test_non_integral_group_id_rejected(self, group):

@@ -47,10 +47,6 @@ class TestGenFactors:
         assert abs(cov - 0.64 * 4.0 / 3.0) < 0.03
         assert abs(f[:, 1].var() - (0.64**2 * 4.0 / 3.0 + 1.0)) < 0.05
 
-    def test_burn_in_validation(self):
-        with pytest.raises(ValueError):
-            gen_factors(10, 1, (0,), burn_in=10)
-
 
 class TestGenLoadings:
     def test_exact_support_sizes(self):
@@ -412,7 +408,7 @@ class TestSimConfigValidation:
     @pytest.mark.parametrize("kwargs, fragment", [
         ({"seed": -1}, "seed must be non-negative"),
         ({"r": 0, "alpha": ()}, "r must be positive"),
-        ({"burn_in": 49}, "burn_in must be at least 50, got 49"),
+        ({"alpha": (0.9,)}, "alpha has 1 entries for r = 2"),
         ({"standardize": "no"}, "standardize must be true or false"),
         ({"contiguous_ranges": ((0, 27),)}, "1 entries for 2"),
         ({"contiguous_ranges": ((0, 27), (5, 17))}, "expected 13"),
