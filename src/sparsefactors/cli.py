@@ -279,7 +279,7 @@ def _cmd_estimate(args) -> tuple[dict, dict]:
             [["series"] + [f"pc{k + 1}" for k in range(est.r)]]
             + [[name] + row for name, row in zip(panel.series_ids, est.sparse.lambda_hat.tolist())]
         ),
-        "strengths.json": json.dumps(sparse_summary(est, args.c), indent=2) + "\n",
+        "strengths.json": json.dumps(sparse_summary(est), indent=2) + "\n",
     }
     return files, _data_config(args, r=est.r)
 
@@ -298,7 +298,7 @@ def _cmd_select_r(args) -> tuple[dict, dict]:
 def _cmd_strengths(args) -> tuple[dict, dict]:
     panel = _load_panel(args)
     est = estimate(panel, args.r, rmax=args.rmax, c=args.c)
-    summary = json.dumps(sparse_summary(est, args.c), indent=2) + "\n"
+    summary = json.dumps(sparse_summary(est), indent=2) + "\n"
     return {"strengths.json": summary}, _data_config(args, r=est.r)
 
 
@@ -343,8 +343,17 @@ def _add_data_flags(p) -> None:
     p.add_argument("--out", default=".", help="output directory")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser that refuses a malformed, unknown or missing flag by raising
+    :class:`InvalidArgumentError`, which :func:`run_cli` reports on one line like any bad
+    value; its subcommand parsers are of this class too."""
+
+    def error(self, message):
+        raise InvalidArgumentError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sparsefactors",
         description="Weak factor models with sparse loadings: PC estimation, "
                     "screening, strengths, factor counts, simulation.",
@@ -397,16 +406,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run_cli(argv=None) -> int:
     """Run one subcommand and write its outputs; return the exit status (0, 1 or 2)."""
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse prints its own diagnostic; map its exit 2 onto "user error"
-        return 0 if not exc.code else 1
     t0 = time.monotonic()
     try:
+        args = build_parser().parse_args(argv)
         files, resolved, *run = args.func(args)  # run: how a batch ran
         _write_outputs(Path(args.out), files, _manifest(args.subcommand, resolved, t0, *run))
+    except SystemExit:  # --help or --version, printed; a bad flag raises InvalidArgumentError
+        return 0
     except SparseFactorsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -78,9 +78,10 @@ class Panel:
         ``standardize``, ``simulate_panel``, rolling windows and heat-map subperiods) is
         handed the array it built and checked there, made read-only, with no copy.
     series_ids : tuple of str
-        N distinct series names; a repeated name is refused, as ingestion refuses it.
+        N distinct series names; a name that is not a string, or a repeated one, is
+        refused, as ingestion refuses it (a CSV reads every label back as a string).
     time_ids : tuple of str
-        T distinct time labels; a repeated label is refused, as ingestion refuses it.
+        T distinct time labels; one that is not a string, or a repeated one, is refused.
     group_ids : tuple of int, optional
         Small integer group id per series (1-13 in the FRED-QD use case).
     """
@@ -107,6 +108,9 @@ class Panel:
         if self.group_ids is not None and len(self.group_ids) != n:
             raise InvalidArgumentError(f"{len(self.group_ids)} group ids for {n} rows")
         for what, labels in (("series", self.series_ids), ("time label", self.time_ids)):
+            for k, x in enumerate(labels):  # a CSV reads every label back as a string
+                if not isinstance(x, str):
+                    raise InvalidArgumentError(f"{what} {x!r} at position {k} is not a string")
             if len(set(labels)) < len(labels):  # ingestion's message for the same fault
                 label = next(x for k, x in enumerate(labels) if x in labels[:k])
                 raise InvalidArgumentError(f"duplicate {what} {label!r}")

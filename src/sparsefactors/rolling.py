@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _blas
 from .errors import InvalidArgumentError
-from .factor_count import DEFAULT_RMAX, check_rmax, select_r
+from .factor_count import DEFAULT_RMAX, check_rmax
 from .panel import Panel, csv_text, standardize
 from .screening import DEFAULT_C, estimate, threshold_value
 
@@ -63,9 +63,9 @@ def rolling_analysis(
     """Estimate factor counts and strengths on every trailing window.
 
     Windows are ``[t - window + 1, t]`` for ``t = window .. T``; each is
-    re-standardized before estimation. Strengths are computed at the
-    SVT-selected count (the "wz" method is always run for that purpose) and
-    windows with no detected factor are flagged. Windows run through
+    re-standardized before estimation. One ``estimate`` per window runs each
+    method once; "wz" is always run, since the strengths are computed at its
+    count, and windows with no detected factor are flagged. Windows run through
     ``_blas.pinned_map`` on as many threads as the BLAS had (one when it is not
     recognised); the result is the same for any thread count.
     """
@@ -83,8 +83,9 @@ def rolling_analysis(
         sl = slice(t - window, t)
         win = Panel._adopt(panel.values[:, sl], panel.series_ids, panel.time_ids[sl],
                            panel.group_ids)
-        est = estimate(standardize(win), rmax=rmax, c=c_multiplier)  # est.r is the "wz" count
-        r_hats = tuple(res.r_hat for res in select_r(est.panel, methods, rmax, est.eig).values())
+        # every rule on the window's one decomposition; est.r is the "wz" count
+        est = estimate(standardize(win), methods=methods, rmax=rmax, c=c_multiplier)
+        r_hats = tuple(res.r_hat for res in est.counts.values())
         strengths = () if est.fit is None else tuple(sorted(est.strength.alpha_hat, reverse=True))
         return r_hats, strengths
 

@@ -6,8 +6,8 @@ the sparsity pattern (an N x r boolean mask). The count of survivors per factor
 yields the strength estimate ``alpha_k = ln(count_k) / ln(N)``.
 
 ``estimate`` runs the whole chain on one panel: ``threshold_value`` ->
-``decompose`` -> r (given, or the SVT rule of ``select_r``) -> ``pc_fit`` -> ``screen``
--> ``strengths``, the last three on first read.
+``decompose`` -> the count rules of ``select_r`` -> r (given, or the SVT count) ->
+``pc_fit`` -> ``screen`` -> ``strengths``, the last three on first read.
 """
 
 from __future__ import annotations
@@ -127,25 +127,27 @@ def symm_diff_ratio(true_support, est_support, alpha) -> tuple:
 
 @dataclass(frozen=True)
 class Estimate:
-    """One panel's estimate: its decomposition, factor count, fit, screening and strengths.
+    """One panel's estimate: its decomposition, factor counts, fit, screening and strengths.
 
-    ``selection`` is the SVT result that chose ``r``, or None when ``r`` was
-    given. ``fit``, ``sparse`` and ``strength`` are computed on first read
-    and cached; they are None exactly when SVT selected 0 factors. A given
-    ``r`` (0 included) is range-checked by ``pc_fit`` when ``fit`` is read.
+    ``counts`` holds, by tag, the result of every count rule run on ``eig``; ``r`` is the
+    given count or ``counts["wz"].r_hat``. ``fit``, ``sparse`` and ``strength`` are computed
+    on first read and cached; they are None exactly when ``r == 0``. A given ``r`` above
+    min(N, T) is refused by ``pc_fit`` when ``fit`` is read.
     """
 
     panel: Panel
     eig: SymEig
     r: int
-    selection: FactorCountResult | None
-    threshold: float
+    counts: dict[str, FactorCountResult]
+    c: float
+
+    @property
+    def threshold(self) -> float:
+        return threshold_value(self.panel.n_series, self.panel.n_periods, self.c)
 
     @cached_property
     def fit(self) -> PcFit | None:
-        if self.selection is not None and self.r == 0:
-            return None
-        return pc_fit(self.panel, self.r, eig=self.eig)
+        return None if self.r == 0 else pc_fit(self.panel, self.r, eig=self.eig)
 
     @cached_property
     def sparse(self) -> SparseFit | None:
@@ -156,24 +158,31 @@ class Estimate:
         return None if self.sparse is None else strengths(self.sparse)
 
 
-def estimate(panel: Panel, r: int | None = None, rmax: int = DEFAULT_RMAX,
+def estimate(panel: Panel, r: int | None = None, methods=(), rmax: int = DEFAULT_RMAX,
              c: float = DEFAULT_C) -> Estimate:
-    """Decompose ``panel`` once and take ``r`` factors, SVT-selected when ``r`` is None.
+    """Decompose ``panel`` once, run the count rules of ``methods`` (and "wz" when ``r`` is
+    None) on it, and take ``r`` factors, the SVT count when ``r`` is None.
 
-    The threshold ``c / sqrt(ln(NT))`` is computed first, so a bad ``c``
-    fails even when no factor is found.
+    A bad ``c``, a given ``r`` below 1, and, when no rule runs, an ``rmax`` below 1 fail
+    before the decomposition; the rules check ``rmax`` as ``select_r`` does.
     """
-    threshold = threshold_value(panel.n_series, panel.n_periods, c)
+    n, t = panel.values.shape
+    threshold_value(n, t, c)
+    if r is not None and r < 1:
+        raise InvalidArgumentError(f"r must be in [1, {min(n, t)}], got {r}")
+    methods = tuple(methods) + (("wz",) if r is None and "wz" not in methods else ())
+    if not methods and rmax < 1:
+        raise InvalidArgumentError(f"rmax must be positive, got {rmax}")
     eig = decompose(panel)
-    selection = None if r is not None else select_r(panel, ("wz",), rmax, eig)["wz"]
-    r = r if selection is None else selection.r_hat
-    return Estimate(panel=panel, eig=eig, r=r, selection=selection, threshold=threshold)
+    counts = select_r(panel, methods, rmax, eig) if methods else {}
+    return Estimate(panel=panel, eig=eig, r=counts["wz"].r_hat if r is None else r,
+                    counts=counts, c=c)
 
 
-def sparse_summary(est: Estimate, c_multiplier: float) -> dict:
+def sparse_summary(est: Estimate) -> dict:
     """JSON-ready summary of an estimate: threshold, ``c``, counts, strengths, labels. When
     the SVT rule found no factor the lists are empty and a ``note`` says so."""
-    summary = {"threshold": est.threshold, "c_multiplier": c_multiplier}
+    summary = {"threshold": est.threshold, "c_multiplier": est.c}
     if est.fit is None:
         return {**summary, "counts": [], "alpha_hat": [], "labels": [],
                 "note": "degenerate: no factors detected"}

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import _blas, metrics as met
 from .errors import InvalidArgumentError
-from .factor_count import DEFAULT_RMAX, METHODS, check_rmax, select_r
+from .factor_count import DEFAULT_RMAX, METHODS, check_rmax
 from .panel import Panel, _standardized
 from .screening import DEFAULT_C, estimate, symm_diff_ratio, threshold_value
 
@@ -257,9 +257,8 @@ def _replicate(config, tasks, rmax, c, rep) -> met.ReplicationRecord:
 
 
 def _replicate_inner(config, panel, truth, tasks, rmax, c, rec) -> met.ReplicationRecord:
-    est = estimate(panel, config.r, rmax=rmax, c=c)
-    if methods := [m for m in METHODS if m in tasks]:
-        rec.r_hat = {m: res.r_hat for m, res in select_r(panel, methods, rmax, est.eig).items()}
+    est = estimate(panel, config.r, [m for m in METHODS if m in tasks], rmax=rmax, c=c)
+    rec.r_hat = {m: res.r_hat for m, res in est.counts.items()}
     if not tasks & {"fit", "sparsity", "rotation"}:
         return rec  # est.fit unread: no fit, so r may exceed min(N, T) here
     fit = est.fit

@@ -396,6 +396,14 @@ SIM = ["simulate", "--N", "36", "--T", "36", "--r", "2", "--alpha", "0.9,0.7",
         (["simulate", "--config", str(DATA / "config_not_json.json")], 1,
          "config_not_json.json is not valid JSON: Expecting property name"),
         (["select-r", "--orientation", "sideways"], 1, "unknown orientation 'sideways'"),
+        (["estimate", "--rmax", "x"], 1, "argument --rmax: invalid int value: 'x'"),
+        (["rolling", "--window", "1e2"], 1, "argument --window: invalid int value: '1e2'"),
+        (["heatmap", "--r", "2.0"], 1, "argument --r: invalid int value: '2.0'"),
+        (["estimate", "--c", "one"], 1, "argument --c: invalid float value: 'one'"),
+        (["select-r", "--bogus", "1"], 1, "unrecognized arguments: --bogus 1"),
+        (["estimate", "--r", "2", "--rmax", "0"], 1, "rmax must be positive, got 0"),
+        (["strengths", "--r", "2", "--rmax", "-3"], 1, "rmax must be positive, got -3"),
+        (["heatmap", "--r", "2", "--rmax", "0"], 1, "rmax must be positive, got 0"),
     ],
 )
 def test_explicit_values_are_never_replaced_by_defaults(tmp_path, capsys, argv, code, fragment):
@@ -408,6 +416,15 @@ def test_explicit_values_are_never_replaced_by_defaults(tmp_path, capsys, argv, 
     assert err.startswith("error: ")
     assert fragment in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]  # none reaches stderr
+
+
+def test_a_missing_flag_is_one_error_line_and_help_exits_zero(tmp_path, capsys):
+    assert run_cli(["estimate", "--r", "2", "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "error: the following arguments are required: --data\n"
+    assert not (tmp_path / "o").exists()
+    assert run_cli(["estimate", "--help"]) == 0
+    assert run_cli(["--version"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_a_design_the_svt_rule_cannot_run_exits_one_and_writes_nothing(tmp_path, capsys):

@@ -299,7 +299,9 @@ class TestForeignSpectrum:
 
 def test_the_package_counts_factors_only_through_select_r():
     """Every r_hat of the package comes from one ``select_r`` call: no module calls a
-    one-rule ``select_r_*`` shorthand, and no ``SELECTORS`` table of them is back."""
+    one-rule ``select_r_*`` shorthand, and no ``SELECTORS`` table of them is back. Outside
+    ``factor_count`` (whose shorthands it is), ``select_r`` is called only by ``estimate``
+    and by the ``select-r`` command, so a panel's counts come from its one estimate."""
     package = Path(factor_count.__file__).parent
     offenders = []
     for path in sorted(package.rglob("*.py")):
@@ -308,6 +310,9 @@ def test_the_package_counts_factors_only_through_select_r():
                 called = getattr(node.func, "attr", None) or getattr(node.func, "id", None) or ""
                 if called.startswith("select_r_"):
                     offenders.append(f"{path.name}:{node.lineno} calls {called}")
+                if called == "select_r" and path.name not in (
+                        "factor_count.py", "screening.py", "cli.py"):
+                    offenders.append(f"{path.name}:{node.lineno} calls select_r")
             if "SELECTORS" in (getattr(node, "attr", None), getattr(node, "id", None)):
                 offenders.append(f"{path.name}:{node.lineno} names SELECTORS")
     assert not offenders

@@ -408,6 +408,21 @@ class TestPanelInvariants:
         with pytest.raises(InvalidArgumentError, match=re.escape(fragment)):
             Panel(np.zeros((len(series), len(times))), series, times)
 
+    @pytest.mark.parametrize("series, times, fragment", [
+        ([1, 2], ["t1", "t2"], "series 1 at position 0 is not a string"),
+        ([["a"], "b"], ["t1", "t2"], "series ['a'] at position 0 is not a string"),
+        (["a", "b"], ["t1", 2.0], "time label 2.0 at position 1 is not a string"),
+        (["a", "a", None], ["t1", "t2"], "series None at position 2 is not a string"),  # before the repeat
+    ])
+    def test_non_string_labels_rejected(self, series, times, fragment):
+        # export_csv would write them, and ingest_csv read them back as strings
+        with pytest.raises(InvalidArgumentError, match=re.escape(fragment)):
+            Panel(np.zeros((len(series), len(times))), series, times)
+
+    def test_numpy_string_labels_accepted(self):
+        panel = Panel(np.zeros((2, 1)), np.array(["a", "b"]), [np.str_("t1")])
+        assert panel.series_ids == ("a", "b") and panel.time_ids == ("t1",)
+
     @pytest.mark.parametrize("group", [1.5, True, "3"])
     def test_non_integral_group_id_rejected(self, group):
         with pytest.raises(InvalidArgumentError, match=f"group id {group!r} at position 1 "):

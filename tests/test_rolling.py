@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import sparsefactors.factor_count as factor_count
 import sparsefactors.rolling as rolling
 from sparsefactors import _blas
 from sparsefactors import (
@@ -44,6 +45,18 @@ class TestRollingAnalysis:
         fitted = sum(r > 0 for r in result.r_hat_series["wz"])
         assert fitted > 0
         assert len(pc_fit_calls) == fitted <= len(result.endpoints)
+
+    def test_each_rule_runs_once_per_window(self, monkeypatch):
+        panel, _ = sim_panel(30, 70, seed=2)
+        calls = {m: 0 for m in factor_count.METHODS}
+        for m, (name, rule) in list(factor_count._RULES.items()):
+            def counting(*args, m=m, rule=rule):
+                calls[m] += 1
+                return rule(*args)
+            monkeypatch.setitem(factor_count._RULES, m, (name, counting))
+        result = rolling_analysis(panel, window=30, methods=("bn", "ed"), rmax=4)
+        assert len(result.endpoints) == 41
+        assert calls == {"wz": 41, "bn": 41, "ed": 41, "ah": 0}
 
     def test_panels_are_not_rechecked_per_window(self, monkeypatch):
         panel, _ = sim_panel(30, 70, seed=3)

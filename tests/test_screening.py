@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from sparsefactors import (
     estimate,
     pc_fit,
     screen,
+    select_r,
     select_r_svt,
     simulate_panel,
     standardize,
@@ -16,7 +18,7 @@ from sparsefactors import (
     symm_diff_ratio,
     threshold_value,
 )
-from sparsefactors.screening import SparseFit
+from sparsefactors.screening import SparseFit, sparse_summary
 from support_oracle import mask
 
 
@@ -207,7 +209,7 @@ class TestEstimate:
     def test_given_r_matches_the_chain_by_hand(self):
         panel = factor_panel()
         est = estimate(panel, 2, c=1.5)
-        assert est.selection is None and est.r == 2
+        assert est.counts == {} and est.r == 2 and est.c == 1.5
         fit = pc_fit(panel, 2)
         sp = screen(fit, threshold_value(60, 80, 1.5))
         alpha = strengths(sp)
@@ -222,18 +224,17 @@ class TestEstimate:
         panel = factor_panel()
         est = estimate(panel, rmax=6)
         assert est.r == select_r_svt(panel, rmax=6).r_hat > 0
-        assert est.selection.r_hat == est.r
+        assert list(est.counts) == ["wz"] and est.counts["wz"].r_hat == est.r
         assert est.fit.r == est.r
 
     def test_svt_selected_zero_has_no_fit_but_explicit_zero_raises(self, pc_fit_calls):
         panel = noise_panel()
         est = estimate(panel)
-        assert est.r == 0 and est.selection is not None
+        assert est.r == 0 and est.counts["wz"].r_hat == 0
         assert est.fit is None and est.sparse is None and est.strength is None
         assert pc_fit_calls == []
-        explicit = estimate(panel, 0)
         with pytest.raises(ValueError, match=r"r must be in \[1, 40\], got 0"):
-            explicit.fit
+            estimate(panel, 0)
 
     def test_decomposes_exactly_once(self, eig_dims):
         est = estimate(factor_panel())
@@ -251,3 +252,31 @@ class TestEstimate:
         with pytest.raises(ValueError, match="c must be positive, got 0"):
             estimate(noise_panel(), c=0.0)
         assert eig_dims == []
+
+    @pytest.mark.parametrize("r", [0, -2])
+    def test_explicit_r_below_one_raises_before_decomposing(self, eig_dims, r):
+        with pytest.raises(ValueError, match=re.escape(f"r must be in [1, 40], got {r}")):
+            estimate(noise_panel(), r)
+        assert eig_dims == []
+
+    def test_every_count_rule_runs_on_the_one_decomposition(self, eig_dims):
+        panel = factor_panel()
+        given = estimate(panel, 2, ["ed", "bn"], rmax=6)
+        assert list(given.counts) == ["ed", "bn"] and given.r == 2
+        assert given.counts == select_r(panel, ["ed", "bn"], rmax=6)
+        chosen = estimate(panel, methods=["bn"], rmax=6)  # r is None: "wz" runs last
+        assert list(chosen.counts) == ["bn", "wz"] and chosen.r == chosen.counts["wz"].r_hat
+        assert eig_dims == [60] * 3  # one per estimate, and select_r's own
+
+    @pytest.mark.parametrize("rmax", [0, -3])
+    def test_rmax_below_one_raises_when_no_rule_reads_it(self, eig_dims, rmax):
+        with pytest.raises(ValueError, match=f"rmax must be positive, got {rmax}"):
+            estimate(noise_panel(), 2, rmax=rmax)
+        assert eig_dims == []
+        assert estimate(noise_panel(), 2, rmax=90).counts == {}  # above min(N, T): unread
+
+    def test_summary_records_the_c_of_the_estimate(self):
+        est = estimate(factor_panel(), c=2.0)
+        summary = sparse_summary(est)
+        assert summary["c_multiplier"] == 2.0 == est.c
+        assert summary["threshold"] == threshold_value(60, 80, 2.0) == est.threshold
